@@ -48,10 +48,10 @@ type node_report = {
 
 type stats = {
   join_space : float;
-      (** the JS metric of Section 7.1, computed from the materialized BGP
-          result sizes *)
-  peak_rows : int;  (** largest bag materialized during evaluation *)
-  total_rows : int;  (** total intermediate rows materialized *)
+      (** the JS metric of Section 7.1, computed from the BGP result
+          sizes *)
+  peak_rows : int;  (** largest bag collected during evaluation *)
+  total_rows : int;  (** rows produced (charged) during evaluation *)
   bgp_evals : int;
   pruned_bgps : int;  (** BGP evaluations that had a candidate set applied *)
   isect : Engine.Intersect.counters;
@@ -59,7 +59,7 @@ type stats = {
           (zero when the WCO engine took no vertex-at-a-time steps) *)
   stages : Sparql.Sink.stage list;
       (** per-stage rows-in/rows-out of the sink pipeline, in data-flow
-          order; empty for materializing {!eval} *)
+          order *)
   nodes : node_report list;
       (** executed BE-tree nodes in evaluation order (parallel UNION
           branches may interleave); empty unless adaptive *)
@@ -69,28 +69,22 @@ type stats = {
           (exact in serial runs, approximate under parallel domains) *)
 }
 
-(** [eval ?adaptive ?feedback env ~threshold tree] runs Algorithm 1 over
-    [tree]. [adaptive] (default false) enables the adaptive execution
-    layer described above; [feedback] is consulted for and updated with
-    observed BGP cardinalities when supplied. May raise
+(** [eval_into ?adaptive ?feedback env ~threshold ~sink tree] runs
+    Algorithm 1 over [tree] and emits the solutions into [sink]. Each
+    combination step is one sink-driving operator: the steps whose result
+    a later child needs are collected into bags, the tree's final operator
+    feeds [sink], so a LIMIT stage in [sink] early-terminates evaluation
+    ([Sink.Stop] is caught here and reported as a normal completion).
+    The sink is closed before returning. To materialize the result, pass
+    [Sparql.Bag.sink bag]. [adaptive] (default false) enables the
+    adaptive execution layer described above; [feedback] is consulted
+    for and updated with observed BGP cardinalities when supplied. When
+    [env] carries a domain pool, UNION branches, WCO steps and join probe
+    sides run on it. [stats.peak_rows] excludes the final operator's
+    streamed output; [stats.join_space] is exact when the pipeline ran to
+    completion and partial under an early Stop. May raise
     [Sparql.Governor.Kill] if the ambient governor ticket is governed
     (budget, deadline, cancellation or a chaos fault). *)
-val eval :
-  ?adaptive:bool ->
-  ?feedback:Feedback.t ->
-  Engine.Bgp_eval.t ->
-  threshold:threshold ->
-  Be_tree.group ->
-  Sparql.Bag.t * stats
-
-(** [eval_into ?adaptive ?feedback env ~threshold ~sink tree] — streaming
-    Algorithm 1: the tree's final operator emits rows into [sink] instead
-    of materializing the result bag, so a LIMIT stage in [sink]
-    early-terminates evaluation ([Sink.Stop] is caught here and reported
-    as a normal completion). The sink is closed before returning.
-    [stats.peak_rows] excludes the final operator's streamed output;
-    [stats.join_space] is exact when the pipeline ran to completion and
-    partial under an early Stop. May raise [Sparql.Governor.Kill]. *)
 val eval_into :
   ?adaptive:bool ->
   ?feedback:Feedback.t ->

@@ -59,11 +59,11 @@ type report = {
   failure : failure option;  (** why the run was killed, if it was *)
   partial : failure option;
       (** [Some f] iff [bag] holds a partial result of a run killed by
-          [f] (exact prefix for streaming LIMIT-style pipelines,
-          best-effort otherwise; always [None] for successful runs) *)
+          [f] (exact prefix for LIMIT-style pipelines, best-effort
+          otherwise; always [None] for successful runs) *)
   pushed_rows : int;
-      (** rows produced (materialized or streamed) by this execution, as
-          charged against its governor ticket *)
+      (** rows produced by this execution, as charged against its
+          governor ticket *)
   transform_ms : float;
       (** time spent in Algorithm 4 at prepare time (0 for Base/CP) *)
   exec_ms : float;  (** evaluation time of this execution *)
@@ -118,24 +118,27 @@ val ticket :
   unit ->
   Sparql.Governor.t
 
-(** [execute ?domains ?streaming ?row_budget ?timeout_ms ?partial
-    ?governor ?cache p] runs the prepared plan once, under its own
-    governor ticket — concurrent executions with different limits are
-    fully isolated. The knobs are execution-time only and carry the same
-    semantics as [Executor.run]: [domains] (default 1) retargets the
-    shared plan to a domain pool, [streaming] (default [true]) pushes
-    solution modifiers into a sink pipeline, [row_budget] and
-    [timeout_ms] bound the run. [partial] (default [false]) makes a
-    killed run return the rows materialized before the limit fired,
-    marked in the report's [partial] field. [governor] supplies a
-    pre-built ticket (e.g. one the caller wants to {!Sparql.Governor.cancel}
-    from another domain); when given, [row_budget]/[timeout_ms] are
-    ignored. [cache] is attached verbatim to the report (used by
-    {!Session} to surface hit/miss provenance). [snapshot] pins the
-    execution to a newer snapshot of the same lineage (the session's
-    acquired view) — the shared plans are retargeted, not recompiled;
-    [stats] supplies that snapshot's statistics (defaults to
-    {!Rdf_store.Stats.of_snapshot}).
+(** [execute ?domains ?row_budget ?timeout_ms ?partial ?governor ?cache
+    p] runs the prepared plan once, under its own governor ticket —
+    concurrent executions with different limits are fully isolated.
+    There is one evaluation path: {!Evaluator.eval_into} feeds a sink
+    pipeline of [hash aggregate (GROUP BY / aggregates) ->] [HAVING ->]
+    ORDER BY / projection / DISTINCT / OFFSET / LIMIT -> the result bag,
+    so a LIMIT early-terminates evaluation and ORDER BY + LIMIT keeps a
+    bounded top-k heap. The knobs are execution-time only and carry the
+    same semantics as [Executor.run]: [domains] (default 1) retargets
+    the shared plan to a domain pool (the pool is passed down to this
+    execution's operators only), [row_budget] and [timeout_ms] bound the
+    run. [partial] (default [false]) makes a killed run return the rows
+    that reached the result bag before the limit fired, marked in the
+    report's [partial] field. [governor] supplies a pre-built ticket
+    (e.g. one the caller wants to {!Sparql.Governor.cancel} from another
+    domain); when given, [row_budget]/[timeout_ms] are ignored. [cache]
+    is attached verbatim to the report (used by {!Session} to surface
+    hit/miss provenance). [snapshot] pins the execution to a newer
+    snapshot of the same lineage (the session's acquired view) — the
+    shared plans are retargeted, not recompiled; [stats] supplies that
+    snapshot's statistics (defaults to {!Rdf_store.Stats.of_snapshot}).
 
     [adaptive] (default [true]) enables the adaptive execution layer —
     sideways bitset prefilters into OPTIONAL/MINUS subtrees, per-node
@@ -147,7 +150,6 @@ val ticket :
     cardinalities. *)
 val execute :
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?feedback:Feedback.t ->
   ?row_budget:int ->

@@ -273,7 +273,7 @@ let backoff_delay b =
    execution, the ticket is ambient for the prepare phase too (so the
    cache.insert failpoint is reachable) and registered with the session
    for the whole attempt, so [cancel] can reach it. *)
-let attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
+let attempt ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms
     ?partial ~faults ~parse t text =
   let gov = Prepared.ticket ?row_budget ?timeout_ms ~faults () in
   register t gov;
@@ -289,10 +289,10 @@ let attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
                 in
                 (entry, cache, stats_for_locked t snap)))
       in
-      Prepared.execute ?domains ?streaming ?adaptive ~feedback:entry.feedback
+      Prepared.execute ?domains ?adaptive ~feedback:entry.feedback
         ?partial ~governor:gov ~cache ~snapshot:snap ~stats entry.prepared)
 
-let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
+let run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms
     ?partial ?(retries = 0) ?(faults = []) ?backoff:bo ~parse t text =
   (* Bounded retry with a fresh ticket per attempt. Only transient
      failures retry (a cancellation is the caller's intent and must
@@ -317,7 +317,7 @@ let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
   let rec go attempts_left =
     let outcome =
       match
-        attempt ~mode ~engine ?domains ?streaming ?adaptive ?row_budget
+        attempt ~mode ~engine ?domains ?adaptive ?row_budget
           ?timeout_ms ?partial ~faults ~parse t text
       with
       | report -> Ok report
@@ -335,9 +335,9 @@ let run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
   go (max 0 retries)
 
 let run ?(mode = Prepared.Full) ?(engine = Engine.Bgp_eval.Wco) ?domains
-    ?streaming ?adaptive ?row_budget ?timeout_ms ?partial ?retries ?faults
+    ?adaptive ?row_budget ?timeout_ms ?partial ?retries ?faults
     ?backoff t text =
-  run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
+  run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms
     ?partial ?retries ?faults ?backoff
     ~parse:(fun () -> Sparql.Parser.parse text)
     t text
@@ -345,9 +345,9 @@ let run ?(mode = Prepared.Full) ?(engine = Engine.Bgp_eval.Wco) ?domains
 (* The update path: run an already-built query AST through the same
    cache and governance under a synthetic key (see {!Update_exec}). *)
 let run_query_ast ?(mode = Prepared.Full) ?(engine = Engine.Bgp_eval.Wco)
-    ?domains ?streaming ?adaptive ?row_budget ?timeout_ms ?partial ?retries
+    ?domains ?adaptive ?row_budget ?timeout_ms ?partial ?retries
     ?faults ?backoff t ~key query =
-  run_gen ~mode ~engine ?domains ?streaming ?adaptive ?row_budget ?timeout_ms
+  run_gen ~mode ~engine ?domains ?adaptive ?row_budget ?timeout_ms
     ?partial ?retries ?faults ?backoff
     ~parse:(fun () -> query)
     t key

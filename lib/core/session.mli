@@ -165,7 +165,7 @@ val feedback :
   string ->
   Feedback.t option
 
-(** [run ?mode ?engine ?domains ?streaming ?row_budget ?timeout_ms
+(** [run ?mode ?engine ?domains ?row_budget ?timeout_ms
     ?partial ?retries ?faults t text] — {!prepare} (through the cache)
     followed by {!Prepared.execute}, both against one snapshot pinned
     at the start of the attempt, under a fresh governor ticket
@@ -174,8 +174,8 @@ val feedback :
     this run hit, plus the session's cumulative counters; its [epoch]
     field is the pinned snapshot's version.
 
-    [partial] (default [false]): a killed run returns the rows
-    materialized before the limit fired, marked in the report.
+    [partial] (default [false]): a killed run returns the rows that
+    reached the result before the limit fired, marked in the report.
     [retries] (default 0) bounds retry-with-fresh-budget: a transient
     failure (anything but [Cancelled]) re-runs with a fresh ticket up
     to [retries] times; the final attempt's report is returned either
@@ -200,7 +200,6 @@ val run :
   ?mode:Prepared.mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?row_budget:int ->
   ?timeout_ms:float ->
@@ -220,7 +219,6 @@ val run_query_ast :
   ?mode:Prepared.mode ->
   ?engine:Engine.Bgp_eval.engine ->
   ?domains:int ->
-  ?streaming:bool ->
   ?adaptive:bool ->
   ?row_budget:int ->
   ?timeout_ms:float ->

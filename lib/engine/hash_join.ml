@@ -28,13 +28,6 @@ let scan_pattern store ~width pattern ~candidates =
   scan_iter store ~width pattern ~candidates ~f:(Sparql.Bag.push bag);
   bag
 
-let eval store ~width (plan : Planner.plan) ~candidates =
-  List.fold_left
-    (fun acc (step : Planner.step) ->
-      let scanned = scan_pattern store ~width step.Planner.pattern ~candidates in
-      Sparql.Bag.join acc scanned)
-    (Sparql.Bag.unit ~width) plan.steps
-
 (* The variable columns a pattern binds — the probe-side domain of the
    final join in [eval_into]. *)
 let pattern_cols (pattern : Compiled.t) =
@@ -50,11 +43,12 @@ let pattern_cols (pattern : Compiled.t) =
    probe (which can short-circuit the scan itself). *)
 let min_parallel_probe = 512
 
-(* Streaming variant: the joins over all patterns but the last build and
-   materialize exactly as [eval]; the accumulated result then becomes the
-   build side of the final join, and the last pattern's scan probes it
-   row-at-a-time, emitting merged rows straight into [sink] — the scan
-   never materializes, so a downstream LIMIT short-circuits it via
+(* The joins over all patterns but the last run through [Bag.join_into]
+   into collected bags (probe sides morselized across the pool when one
+   is given); the accumulated result then becomes the build side of the
+   final join, and the last pattern's scan probes it row-at-a-time,
+   emitting merged rows straight into [sink] — the scan never
+   materializes, so a downstream LIMIT short-circuits it via
    [Sink.Stop]. Each scanned probe row is budget-accounted as a produced
    row (parity with [scan_pattern]'s pushes).
 
@@ -64,8 +58,12 @@ let min_parallel_probe = 512
    into its own shard of the sink; a [Sink.Stop] in any shard stops the
    other domains at their next morsel boundary. *)
 let eval_into ?pool store ~width (plan : Planner.plan) ~candidates ~sink =
+  let pool =
+    match pool with Some p when Pool.num_domains p > 1 -> Some p | _ -> None
+  in
+  let runner = Option.map Pool.runner pool in
   match List.rev plan.steps with
-  | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
+  | [] -> Sparql.Bag.emitter sink (Sparql.Binding.create ~width)
   | last :: rev_prefix ->
       let acc =
         List.fold_left
@@ -73,7 +71,10 @@ let eval_into ?pool store ~width (plan : Planner.plan) ~candidates ~sink =
             let scanned =
               scan_pattern store ~width step.Planner.pattern ~candidates
             in
-            Sparql.Bag.join acc scanned)
+            let joined = Sparql.Bag.create ~width in
+            Sparql.Bag.join_into ?runner acc scanned
+              ~sink:(Sparql.Bag.collector joined);
+            joined)
           (Sparql.Bag.unit ~width) (List.rev rev_prefix)
       in
       let probe_cols = pattern_cols last.Planner.pattern in
@@ -98,9 +99,10 @@ let eval_into ?pool store ~width (plan : Planner.plan) ~candidates ~sink =
         end
       in
       (match pool with
-      | Some pool when Pool.num_domains pool > 1 -> parallel_probe pool
-      | _ ->
+      | Some pool -> parallel_probe pool
+      | None ->
           let probe = Sparql.Bag.join_sink acc ~probe_cols ~sink in
+          let charge = Sparql.Governor.meter (Sparql.Governor.current ()) in
           scan_iter store ~width last.Planner.pattern ~candidates ~f:(fun row ->
-              Sparql.Bag.account ();
+              charge ();
               probe row))

@@ -2,15 +2,9 @@
     mappings (pruned by candidate sets), and the bags are combined left-deep
     in the planner's order with binary hash joins (Eq. 9's cost model). *)
 
-val eval :
-  Rdf_store.Snapshot.t ->
-  width:int ->
-  Planner.plan ->
-  candidates:Candidates.t ->
-  Sparql.Bag.t
-
-(** [eval_into] is [eval] with the final join streamed: the joins over all
-    patterns but the last materialize as usual and become the build side;
+(** [eval_into ?pool snapshot ~width plan ~candidates ~sink] emits the
+    BGP's solutions into [sink]. The joins over all patterns but the last
+    are collected into bags and become the build side;
     the last pattern's scan then probes row-at-a-time, emitting merged rows
     into [sink], so a downstream LIMIT can short-circuit the scan via
     [Sink.Stop]. With [?pool] (and more than one domain), a large probe

@@ -15,7 +15,7 @@
    ticket travels with the job and is re-installed around every morsel,
    stolen or not, so all production charges the same per-query budget.
 
-   Nested parallel calls (a Bag.join inside a parallel UNION branch) do
+   Nested parallel calls (a join inside a parallel UNION branch) do
    not degrade to serial: the nested submitter seeds its own job into the
    shared scheduler, helps execute that job's morsels itself, and waits
    only for morsels in flight on other agents — no agent ever blocks
@@ -344,45 +344,28 @@ let per_agent create =
         Mutex.unlock lock;
         v
   in
-  let all () = List.rev_map snd !table in
-  (get, all)
+  get
 
-(* [accumulate pool ~lo ~hi ~create ~body] runs [body acc i] for every
-   [lo <= i < hi], where each participating agent folds into its own
-   accumulator from [create]; returns every accumulator. Serial when the
-   pool is size 1 (nested calls no longer degrade — they seed their own
-   job into the shared scheduler). *)
-let accumulate pool ?morsel ~lo ~hi ~create ~body () =
-  let n = hi - lo in
-  if n <= 0 then []
-  else if pool.num_domains <= 1 then begin
-    let acc = create () in
+(* [parallel_iter pool ~lo ~hi f] runs [f i] for every [lo <= i < hi].
+   Serial when the pool is size 1 (nested calls do not degrade — they
+   seed their own job into the shared scheduler). *)
+let parallel_iter pool ?morsel ~lo ~hi f =
+  if hi <= lo then ()
+  else if pool.num_domains <= 1 then
     for i = lo to hi - 1 do
-      body acc i
-    done;
-    [ acc ]
-  end
+      f i
+    done
   else begin
     let morsel = match morsel with Some m -> max 1 m | None -> morsel_size () in
-    let acc_for, all_accs = per_agent create in
-    let exec ~agent ~lo ~hi =
-      let acc = acc_for agent in
+    let exec ~agent:_ ~lo ~hi =
       for i = lo to hi - 1 do
-        body acc i
+        f i
       done
     in
     let job = submit_and_wait pool ~lo ~hi ~morsel ~exec in
     check_failure job;
-    if Atomic.get job.stopped_early then raise Sparql.Sink.Stop;
-    all_accs ()
+    if Atomic.get job.stopped_early then raise Sparql.Sink.Stop
   end
-
-let parallel_iter pool ?morsel ~lo ~hi f =
-  ignore
-    (accumulate pool ?morsel ~lo ~hi
-       ~create:(fun () -> ())
-       ~body:(fun () i -> f i)
-       ())
 
 let parallel_map pool ?morsel ~lo ~hi f =
   let n = max 0 (hi - lo) in
@@ -423,7 +406,7 @@ let stream pool ?morsel ~lo ~hi ~sink ~local ~body () =
       match Sparql.Sink.fork sink with
       | None -> serial ()
       | Some fork ->
-          let state_for, _ = per_agent (fun () -> (local (), fork.Sparql.Sink.new_shard ())) in
+          let state_for = per_agent (fun () -> (local (), fork.Sparql.Sink.new_shard ())) in
           let exec ~agent ~lo ~hi =
             let scratch, shard = state_for agent in
             for i = lo to hi - 1 do
@@ -466,28 +449,14 @@ let ensure ~num_domains =
 
 let global () = !global_pool
 
-(* Route [Sparql.Bag]'s probe-side morselization through the global pool.
-   The executor enables this only while a [domains > 1] query runs, so
-   library users and the tier-1 tests keep the serial operators (and
-   their exact result order) by default. *)
-let enable_bag_runner () =
-  match !global_pool with
-  | None -> Sparql.Bag.set_parallel_runner None
-  | Some pool ->
-      Sparql.Bag.set_parallel_runner
-        (Some
-           {
-             Sparql.Bag.run =
-               (fun ~n ~create ~body -> accumulate pool ~lo:0 ~hi:n ~create ~body ());
-             run_stream =
-               (fun ~n ~sink ~body ->
-                 stream pool ~lo:0 ~hi:n ~sink
-                   ~local:(fun () -> ())
-                   ~body:(fun () shard i -> body shard i)
-                   ());
-           })
-
-let disable_bag_runner () = Sparql.Bag.set_parallel_runner None
+(* The pool as [Sparql.Bag]'s probe-side fan-out: each execution that
+   runs on several domains passes it to the sink-driving operators
+   itself, so no process-wide switch decides whether another query's
+   joins fan out. *)
+let runner pool : Sparql.Bag.runner =
+ fun ~n ~sink ~body ->
+  stream pool ~lo:0 ~hi:n ~sink ~local:(fun () -> ()) ~body:(fun () shard i ->
+      body shard i) ()
 
 (* Hand the pool to the store layer as its bulk-load runner: index
    builds (six per-order sort/encode tasks, one morsel each) fan out

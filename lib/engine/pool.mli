@@ -52,11 +52,9 @@ val reset_counters : unit -> unit
 
 (** {1 Parallel loops} *)
 
-(** [accumulate pool ~lo ~hi ~create ~body ()] applies [body acc i] to
-    every [lo <= i < hi]; each participating domain folds into its own
-    accumulator obtained from [create]. Returns all accumulators (in no
-    particular order of contribution). [morsel] is the number of indices
-    per morsel (default {!morsel_size}).
+(** [parallel_iter pool ~lo ~hi f] — [f i] for every [lo <= i < hi], in
+    parallel. [f] must be safe to call from any domain. [morsel] is the
+    number of indices per morsel (default {!morsel_size}).
 
     Each morsel runs under the submitting domain's ambient
     [Sparql.Governor] ticket — stolen morsels included — so parallel row
@@ -65,18 +63,6 @@ val reset_counters : unit -> unit
     [Governor.Kill] (or any other exception) raised in one morsel parks
     every domain at its next morsel boundary and is re-raised in the
     caller once the job has quiesced. *)
-val accumulate :
-  t ->
-  ?morsel:int ->
-  lo:int ->
-  hi:int ->
-  create:(unit -> 'acc) ->
-  body:('acc -> int -> unit) ->
-  unit ->
-  'acc list
-
-(** [parallel_iter pool ~lo ~hi f] — [f i] for every [lo <= i < hi], in
-    parallel. [f] must be safe to call from any domain. *)
 val parallel_iter : t -> ?morsel:int -> lo:int -> hi:int -> (int -> unit) -> unit
 
 (** [parallel_map pool ~lo ~hi f] — the array [| f lo; ...; f (hi-1) |],
@@ -119,15 +105,11 @@ val ensure : num_domains:int -> t option
 
 val global : unit -> t option
 
-(** [enable_bag_runner ()] installs the global pool as [Sparql.Bag]'s
-    parallel runner, so the probe side of [Bag.join] /
-    [Bag.left_outer_join] / [Bag.minus] (and their streaming [_into]
-    forms, through shard sinks) is morselized across domains.
-    [disable_bag_runner ()] restores the serial operators. The executor
-    brackets each [domains > 1] query with these. *)
-val enable_bag_runner : unit -> unit
-
-val disable_bag_runner : unit -> unit
+(** [runner pool] — [pool]'s {!stream} as the probe-side fan-out of
+    [Sparql.Bag]'s sink-driving operators ([Bag.join_into],
+    [Bag.left_outer_join_into]). An execution passes it explicitly, so
+    parallelism is a property of that execution alone. *)
+val runner : t -> Sparql.Bag.runner
 
 (** [install_bulk_runner pool] installs [pool] as the store layer's
     bulk-load runner ({!Rdf_store.Bulk}): the six per-order sort/encode

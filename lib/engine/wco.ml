@@ -1,11 +1,3 @@
-(* Toggle between the vertex-at-a-time multiway-intersection path (default)
-   and the legacy pattern-at-a-time scan path. Both consume the same cached
-   plan; the equivalence property tests and the bench baseline flip this. *)
-let use_multiway = Atomic.make true
-
-let set_multiway b = Atomic.set use_multiway b
-let multiway_enabled () = Atomic.get use_multiway
-
 (* The candidate check for a pattern position: a newly bound variable must
    pass its candidate set; constants and already-bound variables were
    checked when they were bound. *)
@@ -113,35 +105,10 @@ let extend_row store stats candidates pattern ~scratch row ~emit =
   | _ -> scan_and_push store candidates pattern ~scratch row ~emit
 
 (* Rows are extended independently, so a step parallelizes by morselizing
-   the current bag across domains; each agent pushes into a thread-local
-   part (budget-accounted there, preallocated to a morsel's worth of rows)
-   and the parts are concatenated. Serial when no pool is given or the bag
-   is too small to amortize the fan-out. *)
+   its input bag across domains, each agent emitting into its own shard of
+   the sink. Serial when no pool is given or the bag is too small to
+   amortize the fan-out. *)
 let min_parallel_rows = 32
-
-let eval_step ?pool store stats ~width candidates input (step : Planner.step) =
-  (* Chaos site: every WCO scan step (materializing or not) enters here. *)
-  Sparql.Governor.failpoint "scan";
-  match pool with
-  | Some pool when Sparql.Bag.length input >= min_parallel_rows ->
-      Sparql.Bag.concat ~width
-        (List.map fst
-           (Pool.accumulate pool ~lo:0
-              ~hi:(Sparql.Bag.length input)
-              ~create:(fun () ->
-                ( Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width,
-                  Sparql.Binding.create ~width ))
-              ~body:(fun (out, scratch) i ->
-                extend_row store stats candidates step.pattern ~scratch
-                  (Sparql.Bag.get input i) ~emit:(Sparql.Bag.push out))
-              ()))
-  | _ ->
-      let next = Sparql.Bag.create ~width in
-      let scratch = Sparql.Binding.create ~width in
-      Sparql.Bag.iter input ~f:(fun row ->
-          extend_row store stats candidates step.pattern ~scratch row
-            ~emit:(Sparql.Bag.push next));
-      next
 
 (* {1 The multiway-intersection extension (vertex-at-a-time)} *)
 
@@ -175,107 +142,14 @@ let candidate_operands candidates ~col =
    materialization out across the pool beats the serial loop. *)
 let min_parallel_domain = 512
 
-let eval_extend ?pool store ~width candidates input ~col
-    (patterns : Compiled.t list) =
-  (* Chaos site: every vertex-at-a-time extension step enters here. *)
-  Sparql.Governor.failpoint "extend";
-  let extra, filters = candidate_operands candidates ~col in
-  let domain_into buf row =
-    Intersect.multiway ~buf
-      (extra @ List.map (operand_of store row) patterns)
-      ~filters
-  in
-  match pool with
-  | Some pool when Sparql.Bag.length input >= min_parallel_rows ->
-      (* Plenty of rows: morselize the input bag, one scratch domain
-         buffer per agent. *)
-      Sparql.Bag.concat ~width
-        (List.map fst
-           (Pool.accumulate pool ~lo:0
-              ~hi:(Sparql.Bag.length input)
-              ~create:(fun () ->
-                (Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width, ref [||]))
-              ~body:(fun (out, buf) i ->
-                let row = Sparql.Bag.get input i in
-                let n = domain_into buf row in
-                let b = !buf in
-                for k = 0 to n - 1 do
-                  let fresh = Array.copy row in
-                  fresh.(col) <- Array.unsafe_get b k;
-                  Sparql.Bag.push out fresh
-                done)
-              ()))
-  | Some pool ->
-      (* Few rows (a star query starts from the unit bag): parallelism must
-         come from morselizing the intersected domain itself, not the
-         input. *)
-      let buf = ref [||] in
-      let parts = ref [] in
-      let serial = Sparql.Bag.create ~width in
-      Sparql.Bag.iter input ~f:(fun row ->
-          let n = domain_into buf row in
-          if n >= min_parallel_domain then begin
-            let b = !buf in
-            parts :=
-              List.rev_append
-                (Pool.accumulate pool
-                   ~morsel:(Pool.adaptive_morsel pool ~n)
-                   ~lo:0 ~hi:n
-                   ~create:(fun () -> Sparql.Bag.create_sized ~capacity:(Pool.morsel_size ()) ~width)
-                   ~body:(fun out k ->
-                     let fresh = Array.copy row in
-                     fresh.(col) <- Array.unsafe_get b k;
-                     Sparql.Bag.push out fresh)
-                   ())
-                !parts
-          end
-          else begin
-            let b = !buf in
-            for k = 0 to n - 1 do
-              let fresh = Array.copy row in
-              fresh.(col) <- Array.unsafe_get b k;
-              Sparql.Bag.push serial fresh
-            done
-          end);
-      Sparql.Bag.concat ~width (serial :: List.rev !parts)
-  | None ->
-      let next = Sparql.Bag.create ~width in
-      let buf = ref [||] in
-      Sparql.Bag.iter input ~f:(fun row ->
-          let n = domain_into buf row in
-          let b = !buf in
-          for k = 0 to n - 1 do
-            let fresh = Array.copy row in
-            fresh.(col) <- Array.unsafe_get b k;
-            Sparql.Bag.push next fresh
-          done);
-      next
-
-let eval_vstep ?pool store stats ~width candidates input = function
-  | Planner.Scan step -> eval_step ?pool store stats ~width candidates input step
-  | Planner.Extend { col; steps } ->
-      eval_extend ?pool store ~width candidates input ~col
-        (List.map (fun (s : Planner.step) -> s.pattern) steps)
-
-let eval ?pool store ~stats ~width (plan : Planner.plan) ~candidates =
-  if Atomic.get use_multiway then
-    List.fold_left
-      (eval_vstep ?pool store stats ~width candidates)
-      (Sparql.Bag.unit ~width) plan.vsteps
-  else
-    List.fold_left
-      (eval_step ?pool store stats ~width candidates)
-      (Sparql.Bag.unit ~width) plan.steps
-
-(* Streaming variant: every step but the last materializes exactly as
-   [eval] (each step's input must be complete before the next begins), but
-   the last step's extensions flow straight into [sink]. Under a pool the
-   last step runs through [Pool.stream]: each agent emits into its own
-   shard of the sink, and a [Sink.Stop] raised in any shard (a satisfied
-   LIMIT) stops the other domains at their next morsel boundary — genuine
-   cross-domain early termination, not a serial replay of worker bags.
-   The serial terminal scan binds into a scratch row and copies only on
-   emit. *)
+(* One vertex-at-a-time step over [input], emitted into [sink]. A step
+   whose output the next step needs is collected into a bag through
+   [Bag.collector]; the last step feeds the caller's pipeline, so a
+   downstream LIMIT short-circuits it via [Sink.Stop]. Under a pool the
+   step runs through [Pool.stream]: each agent emits into its own shard
+   of the sink, and a [Sink.Stop] raised in any shard stops the other
+   domains at their next morsel boundary. The serial scan binds into a
+   scratch row and copies only on emit. *)
 let stream_scan ?pool store stats ~width candidates input (step : Planner.step)
     ~sink =
   Sparql.Governor.failpoint "scan";
@@ -289,9 +163,9 @@ let stream_scan ?pool store stats ~width candidates input (step : Planner.step)
         ()
   | _ ->
       let scratch = Sparql.Binding.create ~width in
+      let emit = Sparql.Bag.emitter sink in
       Sparql.Bag.iter input ~f:(fun row ->
-          extend_row store stats candidates step.pattern ~scratch row
-            ~emit:(Sparql.Bag.emit_accounted sink))
+          extend_row store stats candidates step.pattern ~scratch row ~emit)
 
 let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
   Sparql.Governor.failpoint "extend";
@@ -318,8 +192,10 @@ let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
           done)
         ()
   | Some pool ->
-      (* Few rows: morselize each large intersected domain instead. *)
+      (* Few rows (a star query starts from the unit bag): parallelism
+         must come from morselizing each large intersected domain. *)
       let buf = ref [||] in
+      let emit = Sparql.Bag.emitter sink in
       Sparql.Bag.iter input ~f:(fun row ->
           let n = domain_into buf row in
           if n >= min_parallel_domain then begin
@@ -339,45 +215,42 @@ let stream_extend ?pool store ~width candidates input ~col patterns ~sink =
             for k = 0 to n - 1 do
               let fresh = Array.copy row in
               fresh.(col) <- Array.unsafe_get b k;
-              Sparql.Bag.emit_accounted sink fresh
+              emit fresh
             done
           end)
   | None ->
       let buf = ref [||] in
+      let emit = Sparql.Bag.emitter sink in
       Sparql.Bag.iter input ~f:(fun row ->
           let n = domain_into buf row in
           let b = !buf in
           for k = 0 to n - 1 do
             let fresh = Array.copy row in
             fresh.(col) <- Array.unsafe_get b k;
-            Sparql.Bag.emit_accounted sink fresh
+            emit fresh
           done)
+
+let stream_vstep ?pool store stats ~width candidates input vstep ~sink =
+  match vstep with
+  | Planner.Scan step ->
+      stream_scan ?pool store stats ~width candidates input step ~sink
+  | Planner.Extend { col; steps } ->
+      stream_extend ?pool store ~width candidates input ~col
+        (List.map (fun (s : Planner.step) -> s.pattern) steps)
+        ~sink
 
 let eval_into ?pool store ~stats ~width (plan : Planner.plan) ~candidates ~sink
     =
-  if Atomic.get use_multiway then
-    match List.rev plan.vsteps with
-    | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
-    | last :: rev_prefix ->
-        let input =
-          List.fold_left
-            (eval_vstep ?pool store stats ~width candidates)
-            (Sparql.Bag.unit ~width) (List.rev rev_prefix)
-        in
-        (match last with
-        | Planner.Scan step ->
-            stream_scan ?pool store stats ~width candidates input step ~sink
-        | Planner.Extend { col; steps } ->
-            stream_extend ?pool store ~width candidates input ~col
-              (List.map (fun (s : Planner.step) -> s.pattern) steps)
-              ~sink)
-  else
-    match List.rev plan.steps with
-    | [] -> Sparql.Bag.emit_accounted sink (Sparql.Binding.create ~width)
-    | last :: rev_prefix ->
-        let input =
-          List.fold_left
-            (eval_step ?pool store stats ~width candidates)
-            (Sparql.Bag.unit ~width) (List.rev rev_prefix)
-        in
-        stream_scan ?pool store stats ~width candidates input last ~sink
+  match List.rev plan.vsteps with
+  | [] -> Sparql.Bag.emitter sink (Sparql.Binding.create ~width)
+  | last :: rev_prefix ->
+      let input =
+        List.fold_left
+          (fun input vstep ->
+            let next = Sparql.Bag.create ~width in
+            stream_vstep ?pool store stats ~width candidates input vstep
+              ~sink:(Sparql.Bag.collector next);
+            next)
+          (Sparql.Bag.unit ~width) (List.rev rev_prefix)
+      in
+      stream_vstep ?pool store stats ~width candidates input last ~sink

@@ -1,6 +1,6 @@
 (** gStore-style worst-case-optimal BGP evaluation.
 
-    The default path is vertex-at-a-time: the planner groups consecutive
+    Evaluation is vertex-at-a-time: the planner groups consecutive
     patterns that each have the extension column as their only unbound
     position ({!Planner.vstep}), every such pattern resolves to the sorted
     third-column view of one index prefix ({!Rdf_store.Index.column_view}),
@@ -11,42 +11,24 @@
     or several new columns fall back to pattern-at-a-time index scans with
     on-the-fly candidate pruning.
 
-    With [?pool], extension steps chunk the current bag's rows across the
+    Every step emits into a sink: a step whose output the next step
+    needs is collected into a bag through [Sparql.Bag.collector] (same
+    per-row cost as a bag push), the last step feeds the caller's
+    pipeline. With [?pool], a step chunks its input bag's rows across the
     pool's domains — except when the bag is small and the intersected
     domain is large (the star-query shape), where the domain itself is
-    chunked instead. Every worker pushes extensions into a thread-local bag
-    and the parts are concatenated after the step (result order is
-    preserved only up to bag equality). This is safe because the store
-    indexes, the plan and the candidate sets are all read-only during
-    evaluation.
+    chunked instead. Every worker emits into its own shard of the sink
+    (result order is preserved only up to bag equality). This is safe
+    because the store indexes, the plan and the candidate sets are all
+    read-only during evaluation.
 
     [stats] feeds {!Planner.step} seed selection: candidate-seeded lookups
     tie-break on the predicate's average degree at the seeded endpoint. *)
 
-(** [set_multiway false] switches {!eval} / {!eval_into} to the legacy
-    pattern-at-a-time path (process-global; default [true]). Both paths
-    consume the same cached plan and produce equal bags — the toggle exists
-    for the equivalence property tests and as the bench baseline. *)
-val set_multiway : bool -> unit
-
-val multiway_enabled : unit -> bool
-
-val eval :
-  ?pool:Pool.t ->
-  Rdf_store.Snapshot.t ->
-  stats:Rdf_store.Stats.t ->
-  width:int ->
-  Planner.plan ->
-  candidates:Candidates.t ->
-  Sparql.Bag.t
-
-(** [eval_into] is [eval] with the final step streamed: all steps but the
-    last materialize as usual, and the last step's extensions are emitted
-    into [sink] instead of a result bag, so a downstream LIMIT can
-    short-circuit the scan via [Sink.Stop]. The serial terminal step binds
-    matches into a reused scratch row and copies only on emit. Under a pool
-    the last step fans out into worker-local bags that are replayed
-    serially into the sink (Stop only ever unwinds serial code). *)
+(** [eval_into ?pool snapshot ~stats ~width plan ~candidates ~sink]
+    evaluates [plan.vsteps] and emits the BGP's solutions into [sink];
+    a downstream LIMIT short-circuits the last step via [Sink.Stop]. The
+    empty plan emits the single unit row. *)
 val eval_into :
   ?pool:Pool.t ->
   Rdf_store.Snapshot.t ->

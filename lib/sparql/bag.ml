@@ -15,23 +15,11 @@ type t = {
   gov : Governor.t;
 }
 
-(* [capacity] preallocates the row array — morsel workers size their
-   local bags to the expected morsel output so the first few pushes do
-   not pay doubling copies. *)
-let create_sized ~capacity ~width =
-  {
-    width;
-    rows = (if capacity <= 0 then [||] else Array.make capacity [||]);
-    len = 0;
-    unchecked = 0;
-    gov = Governor.current ();
-  }
-
-let create ~width = create_sized ~capacity:0 ~width
+let create ~width =
+  { width; rows = [||]; len = 0; unchecked = 0; gov = Governor.current () }
 
 (* Append without budget accounting — for rows whose production was
-   already charged (worker-part concatenation, the terminal sink of a
-   streaming pipeline, [sort]'s reordering). *)
+   already charged (shard drains, the terminal sink of a pipeline). *)
 let append bag row =
   if bag.len = Array.length bag.rows then begin
     let capacity = max 8 (2 * bag.len) in
@@ -50,15 +38,6 @@ let push bag row =
     Governor.tick bag.gov
   end;
   append bag row
-
-(* Charge the production of one streamed row: the same budget/deadline
-   accounting as [push], without materializing anywhere. Streaming
-   producers call it once per row emitted into a sink pipeline, so the
-   budget (the paper's OOM analogue), the timeout and the produced-row
-   counter keep the same meaning whether an operator materializes or
-   streams. Only ever called from the serial sink-driving domain, so the
-   ticket's serial stride counter applies. *)
-let account () = Governor.charge_stream (Governor.current ())
 
 let unit ~width =
   let bag = create ~width in
@@ -90,45 +69,15 @@ let fold bag ~init ~f =
 
 let to_list bag = List.rev (fold bag ~init:[] ~f:(fun acc row -> row :: acc))
 
-(* Concatenation of worker-local bags after a parallel step. The rows were
-   budget-accounted when first pushed into their part, so this is a plain
-   blit, not a re-push. *)
-let concat ~width parts =
-  let total = List.fold_left (fun acc part -> acc + part.len) 0 parts in
-  let result =
-    {
-      width;
-      rows = Array.make total [||];
-      len = 0;
-      unchecked = 0;
-      gov = Governor.current ();
-    }
-  in
-  List.iter
-    (fun part ->
-      Array.blit part.rows 0 result.rows result.len part.len;
-      result.len <- result.len + part.len)
-    parts;
-  result
+(* {2 Parallel probing}
 
-(* {2 Parallel execution hook}
+   The engine layer owns the domain pool (this library cannot depend on
+   it), so an execution that runs on several domains hands its pool's
+   streaming fan-out to the [*_into] operators below as a [runner]. No
+   runner — the default, and the only case for the materializing
+   operators — means the serial loop. *)
 
-   The engine layer owns the domain pool (it must not depend on this
-   library's clients, and this library cannot depend on the engine), so
-   parallelism is injected: when a runner is installed, the binary
-   operators below fan the probe side out across its workers, each pushing
-   into a thread-local part, and concatenate. When absent — the default —
-   every code path is the original serial one. *)
-
-type parallel_runner = {
-  run :
-    'acc.
-    n:int -> create:(unit -> 'acc) -> body:('acc -> int -> unit) -> 'acc list;
-  run_stream : n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit;
-}
-
-let parallel_runner : parallel_runner option ref = ref None
-let set_parallel_runner r = parallel_runner := r
+type runner = n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit
 
 (* Probe sides smaller than this are not worth the fan-out. *)
 let parallel_threshold = 512
@@ -240,82 +189,104 @@ let exists_compatible part row ~pred =
     false
   with Found -> true
 
-(* Fan a probe loop out across the pool when one is installed and the probe
-   side is large enough; otherwise run it serially into a single bag. *)
+(* The probe loop of a materializing operator: serial, into one bag. *)
 let probe_into ~width probe ~emit =
-  match !parallel_runner with
-  | Some runner when probe.len >= parallel_threshold ->
-      concat ~width
-        (runner.run ~n:probe.len
-           ~create:(fun () -> create ~width)
-           ~body:(fun out i -> emit out probe.rows.(i)))
-  | _ ->
-      let result = create ~width in
-      iter probe ~f:(emit result);
-      result
+  let result = create ~width in
+  iter probe ~f:(emit result);
+  result
 
 (* {2 Sink-driven operator variants}
 
    Each [*_into] operator streams its output rows into a sink instead of
    materializing a result bag. Accounting rule: a row is charged exactly
-   once, at the operator boundary where it is produced — [account] on the
-   serial path, [emit_charged] from a morsel worker; shard-drain replays
-   do not re-charge. [Sink.Stop] raised by the sink aborts the serial
-   probe loop, and under a parallel runner a [Stop] in any shard stops
-   the other domains at their next morsel boundary — the
-   early-termination payoff. *)
+   once, at the operator boundary where it is produced — through an
+   [emitter] on the serial path, [emit_charged] from a morsel worker;
+   shard-drain replays do not re-charge. [Sink.Stop] raised by the sink
+   aborts the serial probe loop, and under a runner a [Stop] in any
+   shard stops the other domains at their next morsel boundary. *)
 
-let emit_accounted sink row =
-  account ();
-  Sink.emit sink row
+(* The serial emit function for [sink], built once per producing loop.
+   A bare collector stores through its direct push (charged on the
+   bag's cached ticket and stride, exactly like [push]); any other sink
+   is charged on the ticket ambient now, through a meter of its own, and
+   fed through [Sink.emit]. *)
+let emitter sink =
+  match Sink.direct sink with
+  | Some d -> d.Sink.push
+  | None ->
+      let charge = Governor.meter (Governor.current ()) in
+      fun row ->
+        charge ();
+        Sink.emit sink row
 
-(* The cross-domain variant: charge through the ticket's atomic stride
-   counter instead of the serial one. Morsel workers emitting into shard
-   sinks call this once per produced row. *)
+(* The cross-domain variant, for morsel workers emitting into shard
+   sinks: a collector's shard stores through its direct push (its bag is
+   private to the worker's domain); any other shard is charged through
+   the ticket's atomic stride counter. *)
 let emit_charged sink row =
-  Governor.charge_parallel (Governor.current ());
-  Sink.emit sink row
+  match Sink.direct sink with
+  | Some d -> d.Sink.push row
+  | None ->
+      Governor.charge_parallel (Governor.current ());
+      Sink.emit sink row
 
-(* The materializing terminal: rows were charged at production, so the
-   final append is a plain blit like [concat]. Sharded into per-domain
-   bags blitted into [bag] (in shard-creation order) at drain. *)
-let sink bag =
-  let base = Sink.terminal ~name:"materialize" (fun row -> append bag row) in
+(* Per-domain shard bags appended into [bag] (in shard-creation order)
+   at drain; [direct] shards store through [push] on their own bag. *)
+let shard_fork bag ~name ~direct =
   let shards = ref [] in
-  Sink.with_fork base
-    {
-      Sink.new_shard =
-        (fun () ->
-          let part = create ~width:bag.width in
-          shards := part :: !shards;
-          Sink.terminal ~name:"materialize-shard" (fun row -> append part row));
-      drain =
-        (fun () ->
-          let parts = List.rev !shards in
-          shards := [];
-          List.iter (fun part -> iter part ~f:(append bag)) parts);
-    }
+  {
+    Sink.new_shard =
+      (fun () ->
+        let part = create ~width:bag.width in
+        shards := part :: !shards;
+        let shard = Sink.terminal ~name (fun row -> append part row) in
+        if direct then
+          Sink.with_direct shard ~push:(push part) ~collected:(fun () ->
+              part.len)
+        else shard);
+    drain =
+      (fun () ->
+        let parts = List.rev !shards in
+        shards := [];
+        List.iter (fun part -> iter part ~f:(append bag)) parts);
+  }
+
+(* The materializing terminal of a pipeline: rows were charged at
+   production, so every row that crosses the pipeline is appended. *)
+let sink bag =
+  Sink.with_fork
+    (Sink.terminal ~name:"materialize" (fun row -> append bag row))
+    (shard_fork bag ~name:"materialize-shard" ~direct:false)
+
+(* A collecting sink: [sink] plus the direct path, so operators that
+   materialize an intermediate result through a sink pay [push]'s cost
+   per row and nothing more — serial or sharded. *)
+let collector bag =
+  Sink.with_direct
+    (Sink.with_fork
+       (Sink.terminal ~name:"collect" (fun row -> append bag row))
+       (shard_fork bag ~name:"collect-shard" ~direct:true))
+    ~push:(push bag)
+    ~collected:(fun () -> bag.len)
 
 (* Re-emit a materialized bag into a sink across an operator boundary.
-   Charged, mirroring the cost-proxy re-push of the materializing [union]
-   (the rows cross into a new operator's output). *)
-let replay bag ~sink = iter bag ~f:(fun row -> emit_accounted sink row)
+   Charged: the rows cross into a new operator's output. *)
+let replay bag ~sink = iter bag ~f:(emitter sink)
 
-(* Pool composition for sink-driving probe loops, mirroring [probe_into]:
-   with a runner installed and a large probe side, the probe rows are
-   morselized across domains and every worker emits straight into its own
-   shard of the sink (charged through the ticket's atomic stride). A
-   [Sink.Stop] raised inside a worker becomes a cross-domain stop at the
-   other workers' next morsel boundary, and the runner re-raises it here
-   after the shards have drained — so a downstream LIMIT terminates remote
-   workers early instead of letting them materialize bags that a serial
-   replay would then mostly throw away. *)
-let stream_probe ~width:_ probe ~emit ~sink =
-  match !parallel_runner with
-  | Some runner when probe.len >= parallel_threshold ->
-      runner.run_stream ~n:probe.len ~sink ~body:(fun shard i ->
+(* Probe loop of a sink-driving operator: with a runner and a large probe
+   side, the probe rows are morselized across domains and every worker
+   emits straight into its own shard of the sink. A [Sink.Stop] raised
+   inside a worker becomes a cross-domain stop at the other workers'
+   next morsel boundary, and the runner re-raises it here after the
+   shards have drained. *)
+let stream_probe ?runner probe ~emit ~sink =
+  match runner with
+  | Some run when probe.len >= parallel_threshold ->
+      run ~n:probe.len ~sink ~body:(fun shard i ->
           emit (emit_charged shard) probe.rows.(i))
-  | _ -> iter probe ~f:(fun row -> emit (emit_accounted sink) row)
+  | _ ->
+      let push_row = emitter sink in
+      iter probe ~f:(fun row -> emit push_row row)
 
 let join b1 b2 =
   if b1.width <> b2.width then invalid_arg "Bag.join: width mismatch";
@@ -327,11 +298,11 @@ let join b1 b2 =
       iter_compatible part row ~f:(fun other ->
           push out (Binding.merge row other)))
 
-let join_into b1 b2 ~sink =
+let join_into ?runner b1 b2 ~sink =
   if b1.width <> b2.width then invalid_arg "Bag.join_into: width mismatch";
   let build, probe = if b1.len <= b2.len then (b1, b2) else (b2, b1) in
   let part = partition build (shared_columns b1 b2) in
-  stream_probe ~width:b1.width probe ~sink ~emit:(fun push_row row ->
+  stream_probe ?runner probe ~sink ~emit:(fun push_row row ->
       iter_compatible part row ~f:(fun other ->
           push_row (Binding.merge row other)))
 
@@ -352,7 +323,8 @@ let probe_merged build ~probe_cols =
 
 let join_sink build ~probe_cols ~sink =
   let probe = probe_merged build ~probe_cols in
-  fun row -> probe ~emit:(emit_accounted sink) row
+  let emit = emitter sink in
+  fun row -> probe ~emit row
 
 let union b1 b2 =
   if b1.width <> b2.width then invalid_arg "Bag.union: width mismatch";
@@ -370,13 +342,6 @@ let minus b1 b2 =
   probe_into ~width:b1.width b1 ~emit:(fun out row ->
       if not (exists_compatible part row ~pred:(fun _ -> true)) then
         push out row)
-
-let minus_into b1 b2 ~sink =
-  if b1.width <> b2.width then invalid_arg "Bag.minus_into: width mismatch";
-  let part = partition b2 (shared_columns b1 b2) in
-  stream_probe ~width:b1.width b1 ~sink ~emit:(fun push_row row ->
-      if not (exists_compatible part row ~pred:(fun _ -> true)) then
-        push_row row)
 
 (* SPARQL 1.1 MINUS: μ1 is removed only by a compatible μ2 with at least
    one *shared bound* variable (disjoint-domain mappings do not exclude —
@@ -402,9 +367,10 @@ let sparql_minus_into b1 b2 ~sink =
   if b1.width <> b2.width then
     invalid_arg "Bag.sparql_minus_into: width mismatch";
   let part = partition b2 (shared_columns b1 b2) in
+  let emit = emitter sink in
   iter b1 ~f:(fun row ->
       if not (exists_compatible part row ~pred:(overlapping row)) then
-        emit_accounted sink row)
+        emit row)
 
 (* Row comparison by (column, descending) keys; unbound sorts before any
    bound value (as in SPARQL's ORDER BY). Shared by [sort] and the
@@ -427,8 +393,8 @@ let row_compare ~keys ~compare_ids r1 r2 =
   go keys
 
 (* Stable sort. A reordering of already-accounted rows, so the result is
-   rebuilt by blit like [concat] — re-pushing here would charge the budget
-   twice for the same materialized rows. *)
+   rebuilt without [push] — re-pushing here would charge the budget twice
+   for the same materialized rows. *)
 let sort bag ~keys ~compare_ids =
   let rows = Array.init bag.len (fun i -> bag.rows.(i)) in
   Array.stable_sort (row_compare ~keys ~compare_ids) rows;
@@ -452,11 +418,11 @@ let left_outer_join b1 b2 =
           push out (Binding.merge row other));
       if not !matched then push out row)
 
-let left_outer_join_into b1 b2 ~sink =
+let left_outer_join_into ?runner b1 b2 ~sink =
   if b1.width <> b2.width then
     invalid_arg "Bag.left_outer_join_into: width mismatch";
   let part = partition b2 (shared_columns b1 b2) in
-  stream_probe ~width:b1.width b1 ~sink ~emit:(fun push_row row ->
+  stream_probe ?runner b1 ~sink ~emit:(fun push_row row ->
       let matched = ref false in
       iter_compatible part row ~f:(fun other ->
           matched := true;
@@ -464,16 +430,13 @@ let left_outer_join_into b1 b2 ~sink =
       if not !matched then push_row row)
 
 (* The pushes in [filter], [project] and [dedup] below are intentional
-   cost-proxy charges: each selected/rebuilt row is a new operator output
-   (matching the [account] their streaming counterparts perform). *)
+   cost-proxy charges: each selected/rebuilt row is a new operator
+   output. *)
 
 let filter bag ~f =
   let result = create ~width:bag.width in
   iter bag ~f:(fun row -> if f row then push result row);
   result
-
-let filter_into bag ~f ~sink =
-  iter bag ~f:(fun row -> if f row then emit_accounted sink row)
 
 let project bag ~cols =
   let result = create ~width:bag.width in
@@ -482,12 +445,6 @@ let project bag ~cols =
       List.iter (fun col -> fresh.(col) <- row.(col)) cols;
       push result fresh);
   result
-
-let project_into bag ~cols ~sink =
-  iter bag ~f:(fun row ->
-      let fresh = Binding.create ~width:bag.width in
-      List.iter (fun col -> fresh.(col) <- row.(col)) cols;
-      emit_accounted sink fresh)
 
 let dedup bag =
   let seen = Hashtbl.create (max 16 bag.len) in

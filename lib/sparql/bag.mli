@@ -10,34 +10,21 @@ type t
 
 (** {1 Resource accounting}
 
-    Every row production (a {!push} into a bag, or an {!account} for a
-    streamed row) is charged against the ambient {!Governor} ticket: the
-    ticket's row budget is the analogue of the paper's memory limit (base
-    runs out of memory on 13 of 24 queries; the bench harness must observe
-    that as a recoverable condition, not an actual OOM), and its deadline
-    and cancellation flag are checked on a per-bag stride so the checks
-    still trigger deterministically when parallel workers push into
-    worker-local bags. A bag captures the ticket ambient at {!create}
+    Every row production (a {!push} into a bag, or an {!emitter} call for
+    a row fed into a sink) is charged against the ambient {!Governor}
+    ticket: the ticket's row budget is the analogue of the paper's memory
+    limit (base runs out of memory on 13 of 24 queries; the bench harness
+    must observe that as a recoverable condition, not an actual OOM), and
+    its deadline and cancellation flag are checked on a per-bag stride so
+    the checks still trigger deterministically when parallel workers push
+    into worker-local bags. A bag captures the ticket ambient at {!create}
     time; exhaustion raises [Governor.Kill]. With no ticket installed,
     accounting runs against the calling domain's unlimited default. *)
-
-(** [account ()] charges the production of one streamed row against the
-    ambient ticket: the same budget/deadline/counter accounting as
-    {!push}, without materializing. Streaming producers call it once per
-    row emitted into a sink pipeline, so resource limits mean the same
-    thing whether an operator materializes or streams. Serial sink-driving
-    code only. *)
-val account : unit -> unit
 
 (** {1 Construction} *)
 
 (** [create ~width] — an empty bag. *)
 val create : width:int -> t
-
-(** [create_sized ~capacity ~width] — an empty bag whose row array is
-    preallocated to [capacity] (morsel workers size local bags to the
-    expected morsel output, avoiding early doubling copies). *)
-val create_sized : capacity:int -> width:int -> t
 
 (** [unit ~width] holds exactly one all-unbound mapping — the value of the
     empty group pattern and the join identity. *)
@@ -46,11 +33,6 @@ val unit : width:int -> t
 val push : t -> Binding.t -> unit
 
 val of_rows : width:int -> Binding.t list -> t
-
-(** [concat ~width parts] concatenates worker-local bags produced by a
-    parallel step. The rows were budget-accounted when first pushed into
-    their part, so concatenation itself consumes no budget. *)
-val concat : width:int -> t list -> t
 
 (** {1 Access} *)
 
@@ -121,27 +103,46 @@ val equal_as_bags : t -> t -> bool
 
 (** {1 Sink-driven operator variants}
 
-    Streaming counterparts of the operators above: instead of returning a
-    materialized bag, output rows flow into a {!Sink.t} (and are charged
-    via {!account} exactly once, at the producing operator boundary).
-    [Sink.Stop] raised by the sink aborts the probe loop, so a downstream
-    LIMIT early-terminates the pipeline. While a parallel runner is
-    installed, the probe side is morselized across domains and each worker
-    emits into its own shard of the sink; a [Stop] in any worker stops the
-    others at their next morsel boundary (true cross-domain early
-    termination, not a serial replay of worker bags). *)
+    The operators the evaluator runs: instead of returning a materialized
+    bag, output rows flow into a {!Sink.t} (and are charged exactly once,
+    at the producing operator boundary). [Sink.Stop] raised by the sink
+    aborts the probe loop, so a downstream LIMIT early-terminates the
+    pipeline. With a [runner] and a probe side of at least 512 rows, the
+    probe side is morselized across domains and each worker emits into
+    its own shard of the sink; a [Stop] in any worker stops the others at
+    their next morsel boundary. The materializing operators above stay
+    serial: they are the reference the oracle and LBR are built from. *)
 
-(** [sink bag] — the materializing terminal: every emitted row is appended
-    to [bag] by blit (production was already charged). *)
+(** A parallel fan-out over [0..n-1]: [body shard i] for every index,
+    where [shard] is the calling domain's private shard of [sink]
+    (degrading to a serial loop over [sink] when it cannot fork). A
+    [Sink.Stop] raised by a shard stops the other workers and re-raises
+    in the caller after the shards have drained. The engine layer builds
+    one from the execution's domain pool. *)
+type runner = n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit
+
+(** [sink bag] — the materializing terminal of a pipeline: every row
+    that crosses the pipeline is appended to [bag] (its production was
+    already charged). Forkable into per-domain bags appended at drain. *)
 val sink : t -> Sink.t
 
-(** [emit_accounted sink row] — charge one produced row and emit it.
-    Serial sink-driving code only (uses the ticket's serial stride). *)
-val emit_accounted : Sink.t -> Binding.t -> unit
+(** [collector bag] — {!sink} for an intermediate result: additionally
+    carries a direct path ({!Sink.direct}) through which {!emitter}
+    stores rows with exactly {!push}'s per-row cost. *)
+val collector : t -> Sink.t
 
-(** [emit_charged sink row] — charge one produced row through the
-    ticket's atomic stride and emit it; safe from any domain. Morsel
-    workers emitting into shard sinks use this. *)
+(** [emitter sink] — the serial emit function of one producing loop:
+    charges each row and feeds it to [sink]. For a {!collector} this is
+    {!push} on its bag; otherwise the row is charged on the ticket
+    ambient when the emitter was built (through its own stride counter)
+    and fed through [Sink.emit]. Build it once per loop, on the domain
+    that runs the loop. *)
+val emitter : Sink.t -> Binding.t -> unit
+
+(** [emit_charged shard row] — charge one produced row and emit it into
+    a shard sink; safe from any domain. Morsel workers use this: a
+    {!collector}'s shard pushes onto its domain-private bag, any other
+    shard is charged through the ticket's atomic stride. *)
 val emit_charged : Sink.t -> Binding.t -> unit
 
 (** [replay bag ~sink] re-emits a materialized bag into a sink across an
@@ -149,12 +150,9 @@ val emit_charged : Sink.t -> Binding.t -> unit
     re-push). *)
 val replay : t -> sink:Sink.t -> unit
 
-val join_into : t -> t -> sink:Sink.t -> unit
-val left_outer_join_into : t -> t -> sink:Sink.t -> unit
-val minus_into : t -> t -> sink:Sink.t -> unit
+val join_into : ?runner:runner -> t -> t -> sink:Sink.t -> unit
+val left_outer_join_into : ?runner:runner -> t -> t -> sink:Sink.t -> unit
 val sparql_minus_into : t -> t -> sink:Sink.t -> unit
-val filter_into : t -> f:(Binding.t -> bool) -> sink:Sink.t -> unit
-val project_into : t -> cols:int list -> sink:Sink.t -> unit
 
 (** [join_sink build ~probe_cols ~sink] — a row-at-a-time join for
     producers that stream their probe side: partitions [build] once on the
@@ -181,38 +179,3 @@ val row_compare :
 
 (** [pp table fmt bag] prints rows using variable names from [table]. *)
 val pp : Vartable.t -> Format.formatter -> t -> unit
-
-(** {1 Parallel execution hook}
-
-    This library has no dependency on the engine layer that owns the
-    domain pool, so parallelism is injected: while a runner is installed,
-    {!join}, {!left_outer_join} and {!minus} chunk their probe side across
-    the runner's workers (each worker pushing into a thread-local part that
-    is concatenated afterwards — result order is preserved only up to bag
-    equality). With no runner — the default — every operator is serial and
-    byte-for-byte identical to the historical behavior. *)
-
-type parallel_runner = {
-  run :
-    'acc.
-    n:int -> create:(unit -> 'acc) -> body:('acc -> int -> unit) -> 'acc list;
-      (** [run ~n ~create ~body] partitions [0..n-1] over workers; each
-          worker folds its indices into a private accumulator from
-          [create]; all accumulators are returned. Exceptions raised by
-          [body] (e.g. [Governor.Kill]) are re-raised in the caller. The
-          runner must run each worker under the submitting domain's
-          ambient governor ticket. *)
-  run_stream : n:int -> sink:Sink.t -> body:(Sink.t -> int -> unit) -> unit;
-      (** [run_stream ~n ~sink ~body] — the streaming form: [body shard i]
-          is called for every index, where [shard] is the calling domain's
-          private shard of [sink] (obtained through {!Sink.fork}; when the
-          sink is not forkable the runner degrades to a serial loop over
-          [sink] itself). A [Sink.Stop] raised by a shard stops the other
-          workers at their next morsel boundary and is re-raised in the
-          caller after the shards have drained into the serial pipeline. *)
-}
-
-(** [set_parallel_runner r] installs ([Some]) or removes ([None]) the
-    engine-layer runner. Installed by [Engine.Pool]; never call this with a
-    runner whose workers outlive the call site. *)
-val set_parallel_runner : parallel_runner option -> unit

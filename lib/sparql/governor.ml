@@ -63,11 +63,6 @@ type t = {
   deadline : (float * (unit -> float)) option;  (* (at, now) *)
   cancelled : bool Atomic.t;
   faults : fault array;
-  (* Stride counter for the serial streaming [charge_stream] path; one
-     execution drives one sink pipeline from one domain, so a plain ref
-     scoped to the ticket is race-free where a process-global one was
-     not. *)
-  stream_unchecked : int ref;
   (* Stride counter for [charge_parallel]: shared by every domain that
      emits under this ticket (the morsel scheduler re-installs the
      submitting ticket inside stolen morsels), so it must be atomic. *)
@@ -81,7 +76,6 @@ let create ?row_budget ?deadline ?(faults = []) () =
     deadline;
     cancelled = Atomic.make false;
     faults = Array.of_list faults;
-    stream_unchecked = ref 0;
     parallel_unchecked = Atomic.make 0;
   }
 
@@ -139,15 +133,21 @@ let tick t =
   | Some (at, now) -> if now () > at then raise (Kill Timeout)
   | None -> ()
 
-let charge_stream t =
-  charge t;
-  incr t.stream_unchecked;
-  if !(t.stream_unchecked) >= stride then begin
-    t.stream_unchecked := 0;
-    tick t
-  end
+(* A producer-local stride: the charge closure owns its counter, so a
+   producer that has no bag to hang one on (a loop emitting into a sink
+   pipeline) gets the same per-bag cadence as [Bag.push] — and no two
+   domains ever share the counter. *)
+let meter t =
+  let unchecked = ref 0 in
+  fun () ->
+    charge t;
+    incr unchecked;
+    if !unchecked >= stride then begin
+      unchecked := 0;
+      tick t
+    end
 
-(* The cross-domain counterpart of [charge_stream]: producers emitting
+(* The cross-domain counterpart of [meter]: producers emitting
    from stolen morsels share one atomic stride counter, so a deadline or
    cancellation still triggers within [stride] rows of production no
    matter how the rows are spread across domains. The morsel scheduler

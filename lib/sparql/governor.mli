@@ -120,10 +120,11 @@ val charge : t -> unit
 
 val tick : t -> unit
 
-(** [charge_stream t] — [charge] plus a strided [tick] using the ticket's
-    own serial stride counter; for streaming producers that have no bag
-    to hang a stride counter on. Serial sink-driving code only. *)
-val charge_stream : t -> unit
+(** [meter t] — a fresh charge function: each call is [charge t] plus a
+    [tick t] every {!stride} calls, counted by the returned closure
+    alone. For producers that have no bag to hang a stride counter on;
+    one meter per producing loop (its counter is not synchronized). *)
+val meter : t -> unit -> unit
 
 (** [charge_parallel t] — [charge] plus a strided [tick] through the
     ticket's shared atomic stride counter: safe to call from any domain,

@@ -33,7 +33,14 @@ type t = {
   finish : unit -> unit;
   stages : stage list ref;
   fork : fork option;
+  direct : direct option;
+      (* A bare collecting terminal's charge-and-store path: producers
+         call [push] instead of charging and [emit]ting, so a row
+         materialized through a sink costs what [Bag.push] costs. Every
+         wrapping stage resets it — rows must then cross the stage. *)
 }
+
+and direct = { push : Binding.t -> unit; collected : unit -> int }
 
 and fork = {
   new_shard : unit -> t;
@@ -71,11 +78,13 @@ let new_stage t name =
 
 let fork t = t.fork
 let with_fork t fork = { t with fork = Some fork }
+let direct t = t.direct
+let with_direct t ~push ~collected = { t with direct = Some { push; collected } }
 
 (* A shard: feed-only, never finished, no stage bookkeeping of its own
    (shard counters are merged into the serial stage at drain). *)
 let shard_sink feed =
-  { feed; finish = (fun () -> ()); stages = ref []; fork = None }
+  { feed; finish = (fun () -> ()); stages = ref []; fork = None; direct = None }
 
 (* Replay the rows the shards retained through the owning stage's serial
    [feed]. A [Stop] from downstream ends the replay (later rows cannot be
@@ -102,6 +111,7 @@ let terminal ~name f =
     finish = (fun () -> ());
     stages = ref [ s ];
     fork = None;
+    direct = None;
   }
 
 (* The fork of a stateless per-row stage: each shard applies the same
@@ -150,9 +160,23 @@ let counted ~name inner =
             local.rows_in <- local.rows_in + 1;
             local.rows_out <- local.rows_out + 1;
             inner_shard.feed row);
+      direct = None;
     }
   in
   (sink, s)
+
+(* Rows a producer puts through [sink]: a collector's growth, or else a
+   counting stage's tally (so the stage shows in the pipeline). *)
+let count ~name sink f =
+  match sink.direct with
+  | Some d ->
+      let before = d.collected () in
+      f sink;
+      d.collected () - before
+  | None ->
+      let counted, s = counted ~name sink in
+      f counted;
+      s.rows_in
 
 let filter ~name ~f inner =
   let s = new_stage inner name in
@@ -172,6 +196,7 @@ let filter ~name ~f inner =
             local.rows_out <- local.rows_out + 1;
             inner_shard.feed row
           end);
+    direct = None;
   }
 
 (* Projection at emit time: each row is rebuilt with only [cols] kept, so
@@ -195,6 +220,7 @@ let project ~width ~cols inner =
           local.rows_in <- local.rows_in + 1;
           local.rows_out <- local.rows_out + 1;
           inner_shard.feed (projected row));
+    direct = None;
   }
 
 (* Streaming DISTINCT: rows pass through on first sight. Rows must not be
@@ -238,7 +264,7 @@ let distinct inner =
             replay_shards ~feed bufs);
       }
   in
-  { inner with feed; fork }
+  { inner with feed; fork; direct = None }
 
 (* OFFSET/LIMIT with early termination: [Stop] is raised as soon as the
    last needed row has been forwarded, unwinding the producers.
@@ -294,7 +320,7 @@ let offset_limit ?(offset = 0) ?limit inner =
             replay_shards ~feed bufs);
       }
   in
-  { inner with feed; fork }
+  { inner with feed; fork; direct = None }
 
 (* A bounded worst-first heap of (row, arrival seq) under the
    lexicographic (compare, seq) order — a total order, so the k smallest
@@ -359,12 +385,16 @@ module Bounded_heap = struct
   let rows h = Array.to_list (Array.map fst (sorted_items h))
 end
 
-(* Streaming ungrouped aggregation: [push] folds each arriving row into
-   the caller's accumulators; [flush] computes the aggregate row(s) and
-   emits them downstream at close (an ungrouped aggregate produces output
-   even over zero input rows). No fork: the fold order of order-sensitive
-   accumulators (float sums, DISTINCT collection) must match the
-   materialized path's, so the scheduler drives this pipeline serially. *)
+(* Hash aggregation (GROUP BY, aggregates, or both): [push] folds each
+   arriving row into the caller's per-group accumulators; [flush] emits
+   the group rows downstream at close (an ungrouped aggregate produces
+   output even over zero input rows).
+
+   Sharded like [sort_all]: per-domain buffers replayed through the
+   serial [push] at drain, so the accumulators themselves stay
+   single-domain. The fold then sees the rows in shard order rather than
+   arrival order, which only order-sensitive aggregates (SAMPLE, float
+   sums) can tell apart. *)
 let aggregate ~name ~push ~flush inner =
   let s = new_stage inner name in
   let feed row =
@@ -379,7 +409,23 @@ let aggregate ~name ~push ~flush inner =
      with Stop -> ());
     inner.finish ()
   in
-  { feed; finish; stages = inner.stages; fork = None }
+  let fork =
+    let shards = ref [] in
+    Some
+      {
+        new_shard =
+          (fun () ->
+            let local = ref [] in
+            shards := local :: !shards;
+            shard_sink (fun row -> local := row :: !local));
+        drain =
+          (fun () ->
+            let bufs = List.rev_map (fun local -> List.rev !local) !shards in
+            shards := [];
+            replay_shards ~feed bufs);
+      }
+  in
+  { feed; finish; stages = inner.stages; fork; direct = None }
 
 (* Bounded top-k for ORDER BY + LIMIT: keeps the k smallest rows under
    (compare, arrival seq); flushing sorted on [close] reproduces exactly
@@ -436,7 +482,7 @@ let top_k ~compare ~k inner =
             replay_shards ~feed bufs);
       }
   in
-  { feed; finish; stages = inner.stages; fork }
+  { feed; finish; stages = inner.stages; fork; direct = None }
 
 (* Buffering ORDER BY (no LIMIT, or DISTINCT in between): rows accumulate
    until [close], then flow downstream stably sorted. Sharded by plain
@@ -477,4 +523,4 @@ let sort_all ~compare inner =
             replay_shards ~feed bufs);
       }
   in
-  { feed; finish; stages = inner.stages; fork }
+  { feed; finish; stages = inner.stages; fork; direct = None }

@@ -85,9 +85,40 @@ val with_fork : t -> fork -> t
     [close] is a no-op. *)
 val terminal : name:string -> (Binding.t -> unit) -> t
 
+(** {1 Direct collection}
+
+    A collecting terminal may carry a {e direct} function that charges
+    and stores one row. Producers call it instead of charging the row and
+    {!emit}ting it (see [Bag.emitter]), so materializing through a sink
+    costs no more per row than a bag push: no failpoint poll, no stage
+    bookkeeping, no closure beyond the store itself. Every combinator
+    below drops it — a wrapped sink's rows must cross its stages. *)
+
+(** A collecting terminal's direct path: [push] charges and stores one
+    row; [collected ()] is the number of rows stored so far. *)
+type direct = { push : Binding.t -> unit; collected : unit -> int }
+
+(** [direct sink] — the sink's direct path, if it is a bare collecting
+    terminal. *)
+val direct : t -> direct option
+
+(** [with_direct sink ~push ~collected] — attach a direct path to a
+    custom {!terminal} (e.g. [Bag.collector]). *)
+val with_direct :
+  t -> push:(Binding.t -> unit) -> collected:(unit -> int) -> t
+
+(** {1 Stages} *)
+
 (** [counted ~name inner] — a transparent pass-through exposing its stage,
     for producers that need the cardinality of what they emitted. *)
 val counted : name:string -> t -> t * stage
+
+(** [count ~name sink f] runs the producer [f] on [sink] and returns how
+    many rows it put through: a collector's growth (its direct path stays
+    intact), or else the tally of a {!counted} stage named [name] that
+    [f] is given instead. Exact when [f] returns; an early {!Stop}
+    unwinds past it. *)
+val count : name:string -> t -> (t -> unit) -> int
 
 val filter : name:string -> f:(Binding.t -> bool) -> t -> t
 
@@ -104,12 +135,13 @@ val distinct : t -> t
     {!Stop} once the last needed row has been forwarded. *)
 val offset_limit : ?offset:int -> ?limit:int -> t -> t
 
-(** [aggregate ~name ~push ~flush inner] — streaming ungrouped
-    aggregation: [push] folds each row into the caller's accumulators;
-    [flush emit] computes the aggregate row(s) and emits them downstream
-    at {!close} (an ungrouped aggregate produces a row even over empty
-    input). Never forks — pipelines containing it are driven serially,
-    keeping fold order deterministic. *)
+(** [aggregate ~name ~push ~flush inner] — hash aggregation: [push]
+    folds each row into the caller's (per-group) accumulators; [flush
+    emit] computes the aggregate rows and emits them downstream at
+    {!close} (an ungrouped aggregate produces a row even over empty
+    input). Sharded by per-domain row buffers replayed into [push] at
+    drain, so the accumulators are only ever touched serially; under
+    parallel production the fold sees shard order, not arrival order. *)
 val aggregate :
   name:string ->
   push:(Binding.t -> unit) ->

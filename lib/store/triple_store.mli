@@ -80,10 +80,6 @@ val fresh_epoch : unit -> int
 (** [epoch store] is the store's current epoch. *)
 val epoch : t -> int
 
-(** [bump_epoch store] advances the epoch to a fresh, strictly larger
-    value (invalidating everything keyed on earlier epochs). *)
-val bump_epoch : t -> unit
-
 (** [intern_term store term] encodes [term] in the dictionary, assigning
     a fresh id when it was not yet present — the eval-time dictionary
     write performed by VALUES blocks. Safe under concurrent readers

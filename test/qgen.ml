@@ -149,7 +149,7 @@ let gen_query =
    an ORDER BY over *all* four variables: under a full-key stable sort,
    rows tied on every key are identical, so the selected window is unique
    as a bag no matter what order the producers emitted rows in (parallel
-   UNION branches, streaming vs. materializing) — without it, LIMIT over
+   UNION branches and morsels) — without it, LIMIT over
    an unordered bag is legitimately nondeterministic and untestable. *)
 let gen_modified_query =
   QCheck2.Gen.(
@@ -207,18 +207,13 @@ let gen_wd_query =
       (gen_wd_group 2))
 
 (* The execution configurations the prepare/execute properties sweep:
-   every mode x engine x domain count {1,2,4} x modifier pipeline. *)
+   every mode x engine x domain count {1,2,4}. *)
 let exec_configs =
   List.concat_map
     (fun mode ->
       List.concat_map
         (fun engine ->
-          List.concat_map
-            (fun domains ->
-              List.map
-                (fun streaming -> (mode, engine, domains, streaming))
-                [ true; false ])
-            [ 1; 2; 4 ])
+          List.map (fun domains -> (mode, engine, domains)) [ 1; 2; 4 ])
         [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
     Sparql_uo.Executor.all_modes
 

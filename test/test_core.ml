@@ -243,13 +243,19 @@ let test_inject_transitive_coalescing () =
 
 (* --- Theorems 1 and 2 as executable properties --------------------------------- *)
 
+(* Algorithm 1 over [tree], collected into a bag. *)
+let eval_bag env ~threshold tree =
+  let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
+  let stats =
+    Sparql_uo.Evaluator.eval_into env ~threshold ~sink:(Sparql.Bag.sink bag)
+      tree
+  in
+  (bag, stats)
+
 let eval_tree store (query : Sparql.Ast.query) tree =
   let vartable = Sparql.Vartable.of_list (Sparql.Ast.group_vars query.where) in
   let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Hash_join in
-  let bag, _ =
-    Sparql_uo.Evaluator.eval env ~threshold:Sparql_uo.Evaluator.No_pruning tree
-  in
-  bag
+  fst (eval_bag env ~threshold:Sparql_uo.Evaluator.No_pruning tree)
 
 (* Find every applicable (p1, target) pair at the top level and check the
    transformed tree evaluates identically. *)
@@ -307,8 +313,8 @@ let prop_modes_agree_with_oracle =
         Sparql_uo.Executor.all_modes)
 
 (* Reference solution-modifier semantics over an already-evaluated bag:
-   the historical materialize-then-modify pipeline (ORDER BY, projection,
-   DISTINCT, LIMIT/OFFSET), applied to the oracle's result. *)
+   ORDER BY, projection, DISTINCT, LIMIT/OFFSET, each over the whole bag
+   in turn, applied to the oracle's result. *)
 let apply_modifiers_reference store vartable (query : Sparql.Ast.query) bag =
   let bag =
     match query.Sparql.Ast.order_by with
@@ -351,11 +357,10 @@ let apply_modifiers_reference store vartable (query : Sparql.Ast.query) bag =
           incr i);
       sliced
 
-(* The streaming sink pipeline (and the materializing one) agree with the
-   oracle + reference modifiers, on both engines, serial and parallel. *)
-let prop_streaming_modifiers_match_oracle =
-  QCheck2.Test.make
-    ~name:"streaming/materializing modifiers x {wco,hash} x domains = oracle"
+(* The modifier sink pipeline agrees with the oracle + reference
+   modifiers, on both engines, serial and parallel. *)
+let prop_modifiers_match_oracle =
+  QCheck2.Test.make ~name:"modifiers x {wco,hash} x domains = oracle"
     ~count:120
     ~print:(fun (triples, query) ->
       Qgen.pp_dataset triples ^ "\n" ^ Qgen.pp_query query)
@@ -368,16 +373,169 @@ let prop_streaming_modifiers_match_oracle =
         (fun engine ->
           List.for_all
             (fun domains ->
-              List.for_all
-                (fun streaming ->
-                  let report =
-                    Sparql_uo.Executor.run_query ~engine ~domains ~streaming
-                      store query
-                  in
-                  match report.Sparql_uo.Executor.bag with
-                  | Some bag -> Sparql.Bag.equal_as_bags bag expected
-                  | None -> false)
-                [ true; false ])
+              let report =
+                Sparql_uo.Executor.run_query ~engine ~domains store query
+              in
+              match report.Sparql_uo.Executor.bag with
+              | Some bag -> Sparql.Bag.equal_as_bags bag expected
+              | None -> false)
+            [ 1; 4 ])
+        [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
+
+(* --- GROUP BY / aggregates / HAVING as a sink stage ------------------------------- *)
+
+(* Random GROUP BY queries over [Qgen.gen_query]'s patterns: zero to two
+   key variables, zero to two aggregates (at least one without keys) of
+   the order-insensitive kinds — COUNT of rows, COUNT(?v),
+   COUNT(DISTINCT ?v), MIN, MAX — aliased ?g0, ?g1, and an optional HAVING on the first key
+   being bound or on a count exceeding 1. *)
+let gen_group_by_query =
+  QCheck2.Gen.(
+    let* q = Qgen.gen_query in
+    let* nkeys = int_range 0 2 in
+    let* k0 = int_range 0 3 in
+    let* specs =
+      list_size
+        (int_range (if nkeys = 0 then 1 else 0) 2)
+        (pair (int_range 0 4) (int_range 0 3))
+    in
+    let* having = int_range 0 2 in
+    let var i = Qgen.var_names.(i mod 4) in
+    let keys = List.init nkeys (fun i -> var (k0 + i)) in
+    let aggs =
+      List.mapi
+        (fun i (kind, t) ->
+          let agg, distinct, target =
+            match kind with
+            | 0 -> (Sparql.Ast.Count, false, None)
+            | 1 -> (Sparql.Ast.Count, false, Some (var t))
+            | 2 -> (Sparql.Ast.Count, true, Some (var t))
+            | 3 -> (Sparql.Ast.Min, false, Some (var t))
+            | _ -> (Sparql.Ast.Max, false, Some (var t))
+          in
+          Sparql.Ast.Aggregate
+            { agg; distinct; target; alias = Printf.sprintf "g%d" i })
+        specs
+    in
+    let form =
+      if aggs = [] then Sparql.Ast.Select Sparql.Ast.Star
+      else
+        Sparql.Ast.Select
+          (Sparql.Ast.Aggregated
+             (List.map (fun k -> Sparql.Ast.Svar k) keys @ aggs))
+    in
+    let having =
+      match (having, keys, specs) with
+      | 1, k :: _, _ -> Some (Sparql.Expr.Bound k)
+      | 2, _, (kind, _) :: _ when kind <= 2 ->
+          Some
+            (Sparql.Expr.Cmp
+               ( Sparql.Expr.Cgt,
+                 Sparql.Expr.Var "g0",
+                 Sparql.Expr.Const (Rdf.Term.int_literal 1) ))
+      | _ -> None
+    in
+    return { q with Sparql.Ast.form; group_by = keys; having })
+
+(* The GROUP BY semantics computed directly over the oracle's bag, as
+   decoded solutions: one solution per group of equal key values, its
+   bound keys plus one binding per aggregate that has a value. *)
+let group_by_reference store (query : Sparql.Ast.query) =
+  let bag, vartable = Qgen.oracle store query in
+  let term row v =
+    match Sparql.Vartable.find vartable v with
+    | Some col when Sparql.Binding.is_bound row col ->
+        Some (Rdf_store.Triple_store.decode_term store row.(col))
+    | _ -> None
+  in
+  let keys = query.Sparql.Ast.group_by in
+  let groups = Hashtbl.create 16 in
+  Sparql.Bag.iter bag ~f:(fun row ->
+      let key = List.map (term row) keys in
+      match Hashtbl.find_opt groups key with
+      | Some rows -> rows := row :: !rows
+      | None -> Hashtbl.add groups key (ref [ row ]));
+  if keys = [] && Hashtbl.length groups = 0 then Hashtbl.add groups [] (ref []);
+  let items =
+    match query.Sparql.Ast.form with
+    | Sparql.Ast.Select (Sparql.Ast.Aggregated items) -> items
+    | _ -> []
+  in
+  let aggregate rows = function
+    | Sparql.Ast.Svar _ -> None
+    | Sparql.Ast.Aggregate { agg; distinct; target; alias } -> (
+        let values =
+          match target with
+          | None -> []
+          | Some v -> List.filter_map (fun row -> term row v) rows
+        in
+        let values =
+          if distinct then List.sort_uniq Rdf.Term.compare values else values
+        in
+        let extreme pick =
+          match values with
+          | [] -> None
+          | first :: rest -> Some (List.fold_left pick first rest)
+        in
+        let value =
+          match (agg, target) with
+          | Sparql.Ast.Count, None -> Some (Rdf.Term.int_literal (List.length rows))
+          | Sparql.Ast.Count, Some _ ->
+              Some (Rdf.Term.int_literal (List.length values))
+          | Sparql.Ast.Min, _ ->
+              extreme (fun a b -> if Rdf.Term.compare b a < 0 then b else a)
+          | _ ->
+              extreme (fun a b -> if Rdf.Term.compare b a > 0 then b else a)
+        in
+        Option.map (fun t -> (alias, t)) value)
+  in
+  let count_above_one solution =
+    match List.assoc_opt "g0" solution with
+    | Some t -> t <> Rdf.Term.int_literal 0 && t <> Rdf.Term.int_literal 1
+    | None -> false
+  in
+  Hashtbl.fold
+    (fun key rows acc ->
+      let solution =
+        List.filter_map
+          (fun (k, v) -> Option.map (fun t -> (k, t)) v)
+          (List.combine keys key)
+        @ List.filter_map (aggregate !rows) items
+      in
+      let keep =
+        match query.Sparql.Ast.having with
+        | None -> true
+        | Some (Sparql.Expr.Bound k) -> List.mem_assoc k solution
+        | Some _ -> count_above_one solution
+      in
+      if keep then solution :: acc else acc)
+    groups []
+
+let normalize solutions =
+  List.sort compare
+    (List.map (List.sort (fun (a, _) (b, _) -> String.compare a b)) solutions)
+
+(* The hash-aggregate stage (with its HAVING filter) agrees with the
+   reference over the oracle, on both engines, serial and sharded. *)
+let prop_group_by_matches_reference =
+  QCheck2.Test.make ~name:"GROUP BY/aggregates/HAVING x {wco,hash} x domains = reference"
+    ~count:100
+    ~print:(fun (triples, query) ->
+      Qgen.pp_dataset triples ^ "\n" ^ Qgen.pp_query query)
+    QCheck2.Gen.(pair Qgen.gen_dataset gen_group_by_query)
+    (fun (triples, query) ->
+      let store = Rdf_store.Triple_store.of_triples triples in
+      let expected = normalize (group_by_reference store query) in
+      List.for_all
+        (fun engine ->
+          List.for_all
+            (fun domains ->
+              let report =
+                Sparql_uo.Executor.run_query ~engine ~domains store query
+              in
+              report.Sparql_uo.Executor.bag <> None
+              && normalize (Sparql_uo.Executor.solutions store report)
+                 = expected)
             [ 1; 4 ])
         [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
 
@@ -481,7 +639,7 @@ let test_evaluator_pruning_reduces_work () =
   let run threshold =
     let vartable = Sparql.Vartable.of_list (Sparql.Ast.group_vars query.where) in
     let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Wco in
-    let bag, stats = Sparql_uo.Evaluator.eval env ~threshold (BT.of_query query) in
+    let bag, stats = eval_bag env ~threshold (BT.of_query query) in
     (Sparql.Bag.length bag, stats)
   in
   let n_base, stats_base = run Sparql_uo.Evaluator.No_pruning in
@@ -512,8 +670,7 @@ let test_evaluator_join_space () =
   let vartable = Sparql.Vartable.of_list (Sparql.Ast.group_vars query.where) in
   let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Hash_join in
   let _, stats =
-    Sparql_uo.Evaluator.eval env ~threshold:Sparql_uo.Evaluator.No_pruning
-      (BT.of_query query)
+    eval_bag env ~threshold:Sparql_uo.Evaluator.No_pruning (BT.of_query query)
   in
   (* JS = |p0| * (|p1| + |p1|) = 2 * 2 = 4. *)
   Alcotest.(check (float 0.001)) "join space" 4. stats.Sparql_uo.Evaluator.join_space
@@ -709,6 +866,7 @@ let () =
           Alcotest.test_case "all modes agree on benchmarks" `Slow test_executor_modes_on_benchmarks;
           Alcotest.test_case "LIMIT pushdown early exit" `Quick test_streaming_limit_early_exit;
           QCheck_alcotest.to_alcotest prop_modes_agree_with_oracle;
-          QCheck_alcotest.to_alcotest prop_streaming_modifiers_match_oracle;
+          QCheck_alcotest.to_alcotest prop_modifiers_match_oracle;
+          QCheck_alcotest.to_alcotest prop_group_by_matches_reference;
         ] );
     ]

@@ -172,6 +172,13 @@ let test_candidates () =
 (* --- Engine equivalence (property) ------------------------------------------------ *)
 
 (* Naive BGP evaluation: scan every pattern, nested-loop join. *)
+(* A BGP's solutions, collected into a bag. *)
+let eval_bgp env patterns ~candidates =
+  let bag = Sparql.Bag.create ~width:(Engine.Bgp_eval.width env) in
+  Engine.Bgp_eval.eval_into env patterns ~candidates
+    ~sink:(Sparql.Bag.collector bag);
+  bag
+
 let naive_bgp store table width patterns =
   let snap = Rdf_store.Snapshot.of_store store in
   List.fold_left
@@ -199,10 +206,8 @@ let prop_engines_agree =
       let hash_env = Engine.Bgp_eval.make store table Engine.Bgp_eval.Hash_join in
       let width = Sparql.Vartable.size table in
       let reference = naive_bgp store table width patterns in
-      let wco = Engine.Bgp_eval.eval wco_env patterns ~candidates:Engine.Candidates.empty in
-      let hash =
-        Engine.Bgp_eval.eval hash_env patterns ~candidates:Engine.Candidates.empty
-      in
+      let wco = eval_bgp wco_env patterns ~candidates:Engine.Candidates.empty in
+      let hash = eval_bgp hash_env patterns ~candidates:Engine.Candidates.empty in
       Sparql.Bag.equal_as_bags wco reference
       && Sparql.Bag.equal_as_bags hash reference)
 
@@ -242,10 +247,9 @@ let prop_candidates_are_filters =
           List.for_all
             (fun engine ->
               let env = Engine.Bgp_eval.make store table engine in
-              let pruned = Engine.Bgp_eval.eval env patterns ~candidates:cands in
+              let pruned = eval_bgp env patterns ~candidates:cands in
               let full =
-                Engine.Bgp_eval.eval env patterns
-                  ~candidates:Engine.Candidates.empty
+                eval_bgp env patterns ~candidates:Engine.Candidates.empty
               in
               let filtered =
                 Sparql.Bag.filter full ~f:(fun row ->
@@ -350,43 +354,33 @@ let test_planner_groups_star () =
       Alcotest.(check int) "closing pattern absorbed" 2 (List.length steps)
   | _ -> Alcotest.fail "expected Scan then Extend"
 
-(* The tentpole equivalence: the multiway-intersection path, the legacy
-   pattern-at-a-time path and the Definition-7 oracle agree on random
-   queries across every mode x engine x domains {1,4} x streaming
-   configuration. *)
-let prop_multiway_matches_legacy =
-  QCheck2.Test.make ~name:"multiway = legacy scan = oracle across configs"
+(* The engine equivalence: the multiway-intersection WCO engine, the
+   hash-join engine and the Definition-7 oracle agree on random queries
+   across every mode x engine x domains {1,2,4} configuration. *)
+let prop_wco_matches_hash =
+  QCheck2.Test.make ~name:"WCO = hash = oracle across configs"
     ~count:25
     QCheck2.Gen.(pair Qgen.gen_dataset Qgen.gen_query)
     (fun (triples, query) ->
       let store = Rdf_store.Triple_store.of_triples triples in
       let expected, _ = Qgen.oracle store query in
-      let run () =
-        List.for_all
-          (fun (mode, engine, domains, streaming) ->
-            let report =
-              Sparql_uo.Executor.run_query ~mode ~engine ~domains ~streaming
-                store query
-            in
-            match report.Sparql_uo.Executor.bag with
-            | Some bag -> Sparql.Bag.equal_as_bags bag expected
-            | None -> false)
-          Qgen.exec_configs
-      in
-      let with_multiway enabled =
-        Engine.Wco.set_multiway enabled;
-        Fun.protect ~finally:(fun () -> Engine.Wco.set_multiway true) run
-      in
-      with_multiway true && with_multiway false)
+      List.for_all
+        (fun (mode, engine, domains) ->
+          let report =
+            Sparql_uo.Executor.run_query ~mode ~engine ~domains store query
+          in
+          match report.Sparql_uo.Executor.bag with
+          | Some bag -> Sparql.Bag.equal_as_bags bag expected
+          | None -> false)
+        Qgen.exec_configs)
 
 (* --- Parallel execution ----------------------------------------------------------- *)
 
 (* The multicore layer must be invisible in the results: every parallel
-   configuration — engine x domains {2,4} x streaming on/off — agrees
-   with the serial run as bags, on every mode and random query. *)
+   configuration — engine x domains {2,4} — agrees with the serial run as
+   bags, on every mode and random query. *)
 let prop_parallel_matches_serial =
-  QCheck2.Test.make
-    ~name:"parallel = serial across mode x engine x domains x streaming"
+  QCheck2.Test.make ~name:"parallel = serial across mode x engine x domains"
     ~count:40
     QCheck2.Gen.(pair Qgen.gen_dataset Qgen.gen_query)
     (fun (triples, query) ->
@@ -404,16 +398,13 @@ let prop_parallel_matches_serial =
               | Some expected ->
                   List.for_all
                     (fun domains ->
-                      List.for_all
-                        (fun streaming ->
-                          let par =
-                            Sparql_uo.Executor.run_query ~mode ~engine ~domains
-                              ~streaming store query
-                          in
-                          match par.Sparql_uo.Executor.bag with
-                          | Some bag -> Sparql.Bag.equal_as_bags bag expected
-                          | None -> false)
-                        [ true; false ])
+                      let par =
+                        Sparql_uo.Executor.run_query ~mode ~engine ~domains
+                          store query
+                      in
+                      match par.Sparql_uo.Executor.bag with
+                      | Some bag -> Sparql.Bag.equal_as_bags bag expected
+                      | None -> false)
                     [ 2; 4 ])
             [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
         Sparql_uo.Executor.all_modes)
@@ -443,56 +434,101 @@ let test_nested_union_of_joins () =
      UNION { ?s <http://t/p0> ?t . ?s <http://t/p0> ?u } }"
   in
   let serial = Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:1 store text in
-  List.iter
-    (fun streaming ->
-      let par =
-        Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:4
-          ~streaming store text
-      in
-      match (serial.Sparql_uo.Executor.bag, par.Sparql_uo.Executor.bag) with
-      | Some b1, Some b2 ->
-          Alcotest.(check bool)
-            (Printf.sprintf "nested UNION of joins equal (streaming=%b)"
-               streaming)
-            true
-            (Sparql.Bag.equal_as_bags b1 b2)
-      | _ -> Alcotest.fail "unexpected resource limit")
-    [ true; false ]
+  let par =
+    Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:4 store text
+  in
+  match (serial.Sparql_uo.Executor.bag, par.Sparql_uo.Executor.bag) with
+  | Some b1, Some b2 ->
+      Alcotest.(check bool) "nested UNION of joins equal" true
+        (Sparql.Bag.equal_as_bags b1 b2)
+  | _ -> Alcotest.fail "unexpected resource limit"
 
-(* The tentpole's early-termination guarantee: with a streamed LIMIT at 4
-   domains, a satisfied limit raises [Stop] in one shard and the other
-   domains park at their next morsel boundary — the run must scan far
-   less than the materializing run, which extends all 1000 input rows.
-   (The historical scheduler replayed worker bags serially, so both runs
-   paid the full scan.) *)
+(* The early-termination guarantee: with a LIMIT at 4 domains, a
+   satisfied limit raises [Stop] in one shard and the other domains park
+   at their next morsel boundary — the run must scan far less than the
+   same query without LIMIT, which extends all 1000 input rows. *)
 let test_limit_early_termination () =
   let store = Rdf_store.Triple_store.of_triples (chain_triples 1000) in
-  let text =
-    "SELECT * WHERE { ?x <http://t/p0> ?y . ?y <http://t/p1> ?z } LIMIT 10"
-  in
-  let run ~streaming =
+  let text = "SELECT * WHERE { ?x <http://t/p0> ?y . ?y <http://t/p1> ?z }" in
+  let run text =
     Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base
-      ~engine:Engine.Bgp_eval.Wco ~domains:4 ~streaming store text
+      ~engine:Engine.Bgp_eval.Wco ~domains:4 store text
   in
-  let streamed = run ~streaming:true in
-  let materialized = run ~streaming:false in
-  Alcotest.(check (option int)) "streamed limit honored" (Some 10)
+  let streamed = run (text ^ " LIMIT 10") in
+  let full = run text in
+  Alcotest.(check (option int)) "limit honored" (Some 10)
     streamed.Sparql_uo.Executor.result_count;
-  Alcotest.(check (option int)) "materialized limit honored" (Some 10)
-    materialized.Sparql_uo.Executor.result_count;
-  (* The materializing run pays both full steps (~2000 produced rows); the
-     streamed run pays the first step plus at most the in-flight morsels
-     of the 4 domains when the Stop lands. *)
+  Alcotest.(check (option int)) "full result" (Some 1000)
+    full.Sparql_uo.Executor.result_count;
+  (* The full run pays both steps (~2000 produced rows); the limited run
+     pays the first step plus at most the in-flight morsels of the 4
+     domains when the Stop lands. *)
   Alcotest.(check bool)
     (Printf.sprintf "full scan produced %d rows"
-       materialized.Sparql_uo.Executor.pushed_rows)
+       full.Sparql_uo.Executor.pushed_rows)
     true
-    (materialized.Sparql_uo.Executor.pushed_rows >= 2000);
+    (full.Sparql_uo.Executor.pushed_rows >= 2000);
   Alcotest.(check bool)
     (Printf.sprintf "early termination crossed domains (%d rows)"
        streamed.Sparql_uo.Executor.pushed_rows)
     true
     (streamed.Sparql_uo.Executor.pushed_rows <= 1600)
+
+(* Parallelism belongs to the execution that asked for it: while another
+   domain keeps running 4-domain queries, a serial execution's probe side
+   (1000 rows, above the fan-out threshold) must never be morselized —
+   every row reaching its pipeline is emitted by its own domain. *)
+let test_serial_probe_stays_on_its_domain () =
+  let store = Rdf_store.Triple_store.of_triples (chain_triples 1000) in
+  let text =
+    "SELECT * WHERE { ?x <http://t/p0> ?y OPTIONAL { ?y <http://t/p1> ?z } }"
+  in
+  let stop = Atomic.make false in
+  let parallel_runs = Atomic.make 0 in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore
+            (Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Base ~domains:4
+               store text);
+          Atomic.incr parallel_runs
+        done)
+  in
+  let query = Sparql.Parser.parse text in
+  let vartable =
+    Sparql.Vartable.of_list (Sparql.Ast.group_vars query.Sparql.Ast.where)
+  in
+  let env = Engine.Bgp_eval.make store vartable Engine.Bgp_eval.Wco in
+  let tree = Sparql_uo.Be_tree.of_query query in
+  let self = Domain.self () in
+  let emitted = ref 0 and foreign = Atomic.make 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join other)
+    (fun () ->
+      (* Overlap with at least a few parallel runs of the other domain. *)
+      let rounds = ref 0 in
+      while !rounds < 20 || (Atomic.get parallel_runs < 3 && !rounds < 2000) do
+        incr rounds;
+        let out = Sparql.Bag.create ~width:(Sparql.Vartable.size vartable) in
+        let sink =
+          Sparql.Sink.filter ~name:"domain"
+            ~f:(fun _ ->
+              if Domain.self () <> self then Atomic.incr foreign;
+              true)
+            (Sparql.Bag.sink out)
+        in
+        ignore
+          (Sparql_uo.Evaluator.eval_into env
+             ~threshold:Sparql_uo.Evaluator.No_pruning ~sink tree);
+        emitted := !emitted + Sparql.Bag.length out
+      done;
+      Alcotest.(check int) "every row emitted" (1000 * !rounds) !emitted);
+  Alcotest.(check bool) "the other domain ran parallel queries" true
+    (Atomic.get parallel_runs > 0);
+  Alcotest.(check int) "no row emitted from another domain" 0
+    (Atomic.get foreign)
 
 (* --- Parallel-safe sinks (fork/drain merge) ---------------------------------------- *)
 
@@ -635,8 +671,8 @@ let test_parallel_budget_fires () =
 (* The whole adaptive layer (sideways bitset prefilters into OPTIONAL and
    MINUS subtrees, feedback-primed estimates, per-node engine selection,
    skip-on-empty short-circuits) is an execution strategy, never a
-   semantics change: adaptive = static as bags under every mode, engine,
-   domain count and modifier pipeline. *)
+   semantics change: adaptive = static as bags under every mode, engine
+   and domain count. *)
 let prop_adaptive_matches_static =
   QCheck2.Test.make ~name:"adaptive = static execution on random UO queries"
     ~count:40
@@ -652,21 +688,18 @@ let prop_adaptive_matches_static =
             (fun engine ->
               List.for_all
                 (fun domains ->
-                  List.for_all
-                    (fun streaming ->
-                      let run ~adaptive =
-                        Sparql_uo.Executor.run_query ~mode ~engine ~domains
-                          ~streaming ~adaptive ~stats store query
-                      in
-                      let static = run ~adaptive:false in
-                      let adaptive = run ~adaptive:true in
-                      match
-                        ( static.Sparql_uo.Executor.bag,
-                          adaptive.Sparql_uo.Executor.bag )
-                      with
-                      | Some b1, Some b2 -> Sparql.Bag.equal_as_bags b1 b2
-                      | _ -> false)
-                    [ true; false ])
+                  let run ~adaptive =
+                    Sparql_uo.Executor.run_query ~mode ~engine ~domains
+                      ~adaptive ~stats store query
+                  in
+                  let static = run ~adaptive:false in
+                  let adaptive = run ~adaptive:true in
+                  match
+                    ( static.Sparql_uo.Executor.bag,
+                      adaptive.Sparql_uo.Executor.bag )
+                  with
+                  | Some b1, Some b2 -> Sparql.Bag.equal_as_bags b1 b2
+                  | _ -> false)
                 [ 1; 4 ])
             [ Engine.Bgp_eval.Wco; Engine.Bgp_eval.Hash_join ])
         Sparql_uo.Executor.all_modes)
@@ -774,63 +807,90 @@ let test_static_reports_no_nodes () =
 
 (* --- Streaming ungrouped aggregates ------------------------------------ *)
 
-(* A SELECT of pure aggregates without GROUP BY streams through the
-   terminal aggregate sink; the materializing path groups the full bag.
-   Both share [compute_aggregate_ids] over reverse-arrival id lists, so
-   the single result row must be identical — including SAMPLE's pick and
-   float-summed AVG. *)
+(* A SELECT of pure aggregates without GROUP BY folds the streamed rows in
+   the aggregate stage. Every aggregate must equal the value computed
+   here from the rows of the same pattern without aggregation — SAMPLE
+   must be one of the values it samples — serial and sharded. *)
 let test_streaming_aggregate_matches () =
   let ub n = "<http://swat.cse.lehigh.edu/onto/univ-bench.owl#" ^ n ^ ">" in
   let store =
     Rdf_store.Triple_store.of_triples
       (Workload.Lubm.generate Workload.Lubm.tiny)
   in
-  let queries =
+  let takes = "{ ?x " ^ ub "takesCourse" ^ " ?c }" in
+  let with_email =
+    "{ ?x " ^ ub "takesCourse" ^ " ?c OPTIONAL { ?x " ^ ub "emailAddress"
+    ^ " ?e } }"
+  in
+  let values rows v = List.filter_map (List.assoc_opt v) rows in
+  let count n term = term = Rdf.Term.int_literal n in
+  let extreme pick rows v term =
+    match values rows v with
+    | [] -> false
+    | first :: rest -> term = List.fold_left pick first rest
+  in
+  let min a b = if Rdf.Term.compare b a < 0 then b else a in
+  let max a b = if Rdf.Term.compare b a > 0 then b else a in
+  (* (aggregate select list, pattern, [(alias, check over plain rows)]) *)
+  let cases =
     [
-      "SELECT (COUNT(*) AS ?n) WHERE { ?x " ^ ub "takesCourse" ^ " ?c }";
-      "SELECT (COUNT(?c) AS ?n) (COUNT(DISTINCT ?c) AS ?d) (MIN(?c) AS ?lo) \
-       (MAX(?c) AS ?hi) (SAMPLE(?c) AS ?any) WHERE { ?x "
-      ^ ub "takesCourse" ^ " ?c }";
+      ("(COUNT(*) AS ?n)", takes, [ ("n", fun rows -> count (List.length rows)) ]);
+      ( "(COUNT(?c) AS ?n) (COUNT(DISTINCT ?c) AS ?d) (MIN(?c) AS ?lo) \
+         (MAX(?c) AS ?hi) (SAMPLE(?c) AS ?any)",
+        takes,
+        [
+          ("n", fun rows -> count (List.length (values rows "c")));
+          ( "d",
+            fun rows ->
+              count (List.length (List.sort_uniq compare (values rows "c"))) );
+          ("lo", fun rows -> extreme min rows "c");
+          ("hi", fun rows -> extreme max rows "c");
+          ("any", fun rows term -> List.mem term (values rows "c"));
+        ] );
       (* OPTIONAL body: the adaptive layer runs under the aggregate sink. *)
-      "SELECT (COUNT(*) AS ?n) (COUNT(?e) AS ?ne) WHERE { ?x "
-      ^ ub "takesCourse" ^ " ?c OPTIONAL { ?x " ^ ub "emailAddress"
-      ^ " ?e } }";
+      ( "(COUNT(*) AS ?n) (COUNT(?e) AS ?ne)",
+        with_email,
+        [
+          ("n", fun rows -> count (List.length rows));
+          ("ne", fun rows -> count (List.length (values rows "e")));
+        ] );
       (* Empty match: aggregates over zero rows still emit one row. *)
-      "SELECT (COUNT(*) AS ?n) WHERE { ?x " ^ ub "noSuchPredicate" ^ " ?y }";
+      ( "(COUNT(*) AS ?n)",
+        "{ ?x " ^ ub "noSuchPredicate" ^ " ?y }",
+        [ ("n", fun rows -> count (List.length rows)) ] );
     ]
   in
   List.iter
-    (fun text ->
+    (fun (select, pattern, checks) ->
+      let plain =
+        Sparql_uo.Executor.solutions store
+          (Sparql_uo.Executor.run store ("SELECT * WHERE " ^ pattern))
+      in
       List.iter
         (fun domains ->
-          let run ~streaming =
-            Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full ~domains
-              ~streaming store text
+          let report =
+            Sparql_uo.Executor.run ~mode:Sparql_uo.Executor.Full ~domains store
+              ("SELECT " ^ select ^ " WHERE " ^ pattern)
           in
-          let materialized = run ~streaming:false in
-          let streamed = run ~streaming:true in
           Alcotest.(check (option int)) "one aggregate row" (Some 1)
-            streamed.Sparql_uo.Executor.result_count;
-          (match
-             ( materialized.Sparql_uo.Executor.bag,
-               streamed.Sparql_uo.Executor.bag )
-           with
-          | Some b1, Some b2 ->
-              Alcotest.(check bool) "streamed aggregate = materialized" true
-                (Sparql.Bag.equal_as_bags b1 b2)
-          | _ -> Alcotest.fail "unexpected resource limit");
-          (* The streamed run really took the sink path. *)
-          if domains = 1 then
-            let stats =
-              Option.get streamed.Sparql_uo.Executor.eval_stats
-            in
-            Alcotest.(check bool) "aggregate stage present" true
-              (List.exists
-                 (fun (s : Sparql.Sink.stage) ->
-                   s.Sparql.Sink.name = "aggregate")
-                 stats.Sparql_uo.Evaluator.stages))
+            report.Sparql_uo.Executor.result_count;
+          let row = List.hd (Sparql_uo.Executor.solutions store report) in
+          List.iter
+            (fun (alias, check) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s of %s at domains=%d" alias select domains)
+                true
+                (match List.assoc_opt alias row with
+                | Some term -> check plain term
+                | None -> false))
+            checks;
+          let stats = Option.get report.Sparql_uo.Executor.eval_stats in
+          Alcotest.(check bool) "aggregate stage present" true
+            (List.exists
+               (fun (s : Sparql.Sink.stage) -> s.Sparql.Sink.name = "aggregate")
+               stats.Sparql_uo.Evaluator.stages))
         [ 1; 4 ])
-    queries
+    cases
 
 let () =
   Alcotest.run "engine"
@@ -867,7 +927,7 @@ let () =
           Alcotest.test_case "planner groups star and triangle" `Quick
             test_planner_groups_star;
           QCheck_alcotest.to_alcotest prop_intersect_matches_naive;
-          QCheck_alcotest.to_alcotest prop_multiway_matches_legacy;
+          QCheck_alcotest.to_alcotest prop_wco_matches_hash;
         ] );
       ( "parallel",
         [
@@ -880,6 +940,8 @@ let () =
             test_nested_union_of_joins;
           Alcotest.test_case "streamed LIMIT terminates remote domains" `Quick
             test_limit_early_termination;
+          Alcotest.test_case "serial probe stays on its domain" `Quick
+            test_serial_probe_stays_on_its_domain;
         ] );
       ( "sinks",
         [
